@@ -36,6 +36,7 @@ use ndlog_net::sim::SimTime;
 use ndlog_net::NodeAddr;
 use ndlog_runtime::batch::{BatchOutput, BatchScratch, BatchTrigger};
 use ndlog_runtime::dred;
+use ndlog_runtime::store::{located_relations, Applied};
 use ndlog_runtime::strand::{Derivation, JoinStats};
 use ndlog_runtime::{
     AggregateView, CompiledStrand, DeltaTap, EvalError, EvalStats, Sign, Store, Tuple, TupleDelta,
@@ -147,9 +148,11 @@ impl NodeEngine {
                 views.push(AggregateView::from_rule(rule)?);
             }
         }
-        // Build every secondary index the shared strands' probe plans and
-        // the views' guard checks declare, once per node at construction
-        // time.
+        // Every tuple this node stores of a located relation is located
+        // here, so those relations' indexes leave column 0 out. Then build
+        // every index the shared strands' probe plans and the views' guard
+        // checks declare, once per node at construction time.
+        store.set_location(addr, &located_relations(plans.iter().map(|p| &p.program)));
         store.declare_indexes(strands.iter());
         for view in &views {
             for (relation, cols) in view.index_requirements() {
@@ -376,24 +379,27 @@ impl NodeEngine {
         }
 
         let effect = self.store.apply(&delta);
-        let seq = effect.seq;
-        // A duplicate insertion (nothing to propagate) still re-exercised
-        // the derivations downstream of this tuple; aggregate-view outputs
-        // emit nothing when the best is unchanged, so their soft-state
-        // expiry has to be moved forward here.
-        if delta.sign == Sign::Insert && effect.propagate.is_empty() {
-            self.refresh_view_outputs(&delta);
-        }
-        for prop in effect.propagate {
-            if prop.sign == Sign::Delete {
-                // An actual removal (count reached zero, or the old half
-                // of a replacement): seed the next DRed pass instead of
-                // cascading by count. The views are not fed — the pass
-                // rebuilds the affected groups from the store.
-                self.pending_deletes.push(prop);
-                continue;
+        // An actual removal (count reached zero, or the old half of a
+        // replacement) seeds the next DRed pass instead of cascading by
+        // count. The views are not fed — the pass rebuilds the affected
+        // groups from the store.
+        match effect.outcome {
+            Applied::Absorbed => {
+                // A duplicate insertion still re-exercised the derivations
+                // downstream of this tuple; aggregate-view outputs emit
+                // nothing when the best is unchanged, so their soft-state
+                // expiry has to be moved forward here.
+                if delta.sign == Sign::Insert {
+                    self.refresh_view_outputs(&delta);
+                }
             }
-            self.after_store_change(prop, seq);
+            Applied::Changed if delta.sign == Sign::Delete => self.pending_deletes.push(delta),
+            Applied::Changed => self.after_store_change(delta, effect.seq),
+            Applied::Replaced(old) => {
+                self.pending_deletes
+                    .push(TupleDelta::delete(delta.relation.clone(), old));
+                self.after_store_change(delta, effect.seq);
+            }
         }
     }
 
@@ -410,10 +416,7 @@ impl NodeEngine {
             if view.source_relation() != delta.relation {
                 continue;
             }
-            let Some(key) = view.group_key(&delta.tuple) else {
-                continue;
-            };
-            let Some(best) = view.current_output(&key) else {
+            let Some(best) = view.current_output_for(&delta.tuple) else {
                 continue;
             };
             if self
@@ -569,13 +572,13 @@ impl NodeEngine {
                 break;
             }
             let round: Vec<(TupleDelta, u64)> = self.queue.drain(..).collect();
-            let mut per_trigger = self.fire_batch_round(&round)?;
+            let mut derived = self.fire_batch_round(&round)?.into_iter().peekable();
             let mut consumed = round.len();
-            for (i, derived) in per_trigger.iter_mut().enumerate() {
+            for i in 0..round.len() {
                 self.stats.iterations += 1;
                 self.stats.tuples_processed += 1;
-                self.stats.derivations += derived.len();
-                for derivation in derived.drain(..) {
+                while let Some((_, derivation)) = derived.next_if(|(trigger, _)| *trigger == i) {
+                    self.stats.derivations += 1;
                     match derivation.location {
                         Some(dest) if dest != self.addr => {
                             self.route_remote(
@@ -614,9 +617,10 @@ impl NodeEngine {
     }
 
     /// Fire every strand over a batch of applied-but-unfired insertion
-    /// deltas against the current store snapshot, returning each trigger's
-    /// derivations in the order the tuple-at-a-time loop would route them
-    /// (strands in declaration order per trigger). Triggers whose tuple a
+    /// deltas against the current store snapshot, returning every
+    /// derivation tagged with its trigger's index in `round`, in the order
+    /// the tuple-at-a-time loop would route them (trigger by trigger,
+    /// strands in declaration order per trigger). Triggers whose tuple a
     /// DRed pass has since over-deleted (or a replacement vacated) yield
     /// nothing: the consequences are moot, and a re-derived tuple fires
     /// through its own queued insert. That status cannot change mid-batch,
@@ -625,8 +629,9 @@ impl NodeEngine {
     fn fire_batch_round(
         &mut self,
         round: &[(TupleDelta, u64)],
-    ) -> Result<Vec<Vec<Derivation>>, EvalError> {
-        let mut per_trigger: Vec<Vec<Derivation>> = round.iter().map(|_| Vec::new()).collect();
+    ) -> Result<Vec<(usize, Derivation)>, EvalError> {
+        // One flat buffer for the whole round, filled strand by strand.
+        let mut derived: Vec<(usize, Derivation)> = Vec::new();
         let live: Vec<bool> = round
             .iter()
             .map(|(delta, _)| {
@@ -678,10 +683,12 @@ impl NodeEngine {
                 )?,
             }
             self.batch_out
-                .drain_into(|local, derivation| per_trigger[indices[local]].push(derivation));
+                .drain_into(|local, derivation| derived.push((indices[local], derivation)));
         }
         self.stats.absorb_joins(joins);
-        Ok(per_trigger)
+        // Stable: each trigger's derivations keep their strand order.
+        derived.sort_by_key(|&(trigger, _)| trigger);
+        Ok(derived)
     }
 
     /// The flush interval currently in effect (sharing delay takes

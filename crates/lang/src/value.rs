@@ -26,8 +26,9 @@ pub enum Value {
     Str(Arc<str>),
     /// A boolean.
     Bool(bool),
-    /// A list of values, e.g. a path vector.
-    List(Arc<Vec<Value>>),
+    /// A list of values, e.g. a path vector: one shared allocation holding
+    /// the elements.
+    List(Arc<[Value]>),
 }
 
 impl Value {
@@ -38,12 +39,12 @@ impl Value {
 
     /// Build a list value.
     pub fn list(items: Vec<Value>) -> Value {
-        Value::List(Arc::new(items))
+        Value::List(items.into())
     }
 
     /// The empty list (`nil` in the paper's syntax).
     pub fn nil() -> Value {
-        Value::List(Arc::new(Vec::new()))
+        Value::List(Arc::from([]))
     }
 
     /// Build an address value.

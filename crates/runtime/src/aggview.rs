@@ -27,6 +27,8 @@
 //! do not replay previously-skipped source tuples.
 
 use crate::expr::Bindings;
+use crate::hash::FxHashMap;
+use crate::key::{KeyView, Projection, ValueKey};
 use crate::store::Store;
 use crate::strand::bind_atom;
 use crate::tuple::{Sign, Tuple, TupleDelta};
@@ -56,7 +58,9 @@ pub struct AggregateView {
     head_template: Vec<HeadField>,
     source_atom: Atom,
     guards: Vec<Atom>,
-    groups: BTreeMap<Vec<Value>, GroupState>,
+    /// Group states by group key. Only ever looked up by key (never
+    /// iterated), so hashing cannot affect any result.
+    groups: FxHashMap<ValueKey, GroupState>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -67,6 +71,10 @@ struct GroupState {
     total: usize,
     /// The head tuple currently derived for this group, if any.
     current: Option<Tuple>,
+    /// The aggregate value `current` carries, held inline so the
+    /// aggregate-selection check on every ingested delta reads it without
+    /// walking the multiset or the head tuple.
+    best: Option<Value>,
 }
 
 impl GroupState {
@@ -171,7 +179,7 @@ impl AggregateView {
             head_template,
             source_atom: source,
             guards,
-            groups: BTreeMap::new(),
+            groups: FxHashMap::default(),
         })
     }
 
@@ -206,10 +214,28 @@ impl AggregateView {
         self.groups.clear();
     }
 
+    /// The group state a source tuple belongs to, looked up by its
+    /// borrowed group-by columns.
+    fn group_of(&self, source_tuple: &Tuple) -> Option<&GroupState> {
+        self.groups.get(&Projection {
+            values: source_tuple.values(),
+            cols: Some(&self.group_cols),
+        } as &dyn KeyView)
+    }
+
     /// Current aggregate value for the group a source tuple belongs to.
     pub fn current_for(&self, source_tuple: &Tuple) -> Option<Value> {
-        let key = source_tuple.project(&self.group_cols);
-        self.groups.get(&key).and_then(|g| g.aggregate(self.func))
+        self.group_of(source_tuple).and_then(|g| g.best.clone())
+    }
+
+    /// The head tuple currently derived for the group a source tuple
+    /// belongs to, if any (`None` as well when the tuple is too short to
+    /// have a group).
+    pub fn current_output_for(&self, source_tuple: &Tuple) -> Option<&Tuple> {
+        if self.group_cols.iter().any(|&c| c >= source_tuple.arity()) {
+            return None;
+        }
+        self.group_of(source_tuple)?.current.as_ref()
     }
 
     /// The group key a source tuple belongs to, or `None` when the tuple
@@ -223,7 +249,13 @@ impl AggregateView {
 
     /// The head tuple currently derived for a group, if any.
     pub fn current_output(&self, key: &[Value]) -> Option<&Tuple> {
-        self.groups.get(key)?.current.as_ref()
+        self.groups
+            .get(&Projection {
+                values: key,
+                cols: None,
+            } as &dyn KeyView)?
+            .current
+            .as_ref()
     }
 
     /// Map a head (output) tuple back to its group key, or `None` when the
@@ -294,33 +326,26 @@ impl AggregateView {
                 state.total += 1;
             }
         }
-        let new_head = state.aggregate(self.func).map(|v| self.head_tuple(key, &v));
+        state.best = state.aggregate(self.func);
+        let new_head = state.best.as_ref().map(|v| self.head_tuple(key, v));
         state.current = new_head.clone();
         if state.total == 0 {
-            self.groups.remove(key);
+            self.groups.remove(&Projection {
+                values: key,
+                cols: None,
+            } as &dyn KeyView);
         } else {
-            self.groups.insert(key.to_vec(), state);
+            self.groups.insert(ValueKey(key.into()), state);
         }
         new_head.map(|t| TupleDelta::insert(self.head_relation.clone(), t))
     }
 
     fn head_tuple(&self, key: &[Value], agg_value: &Value) -> Tuple {
-        // `key` holds the group values in `group_cols` order; map source
-        // column -> value for template instantiation.
-        let mut by_col: BTreeMap<usize, &Value> = BTreeMap::new();
-        for (col, val) in self.group_cols.iter().zip(key.iter()) {
-            by_col.insert(*col, val);
-        }
-        let values = self
-            .head_template
-            .iter()
-            .map(|f| match f {
-                HeadField::Group(col) => (*by_col.get(col).expect("group value present")).clone(),
-                HeadField::AggValue => agg_value.clone(),
-                HeadField::Const(c) => c.clone(),
-            })
-            .collect();
-        Tuple::new(values)
+        let key = Projection {
+            values: key,
+            cols: None,
+        };
+        head_tuple(&self.head_template, &self.group_cols, &key, agg_value)
     }
 
     /// The (relation, bound-column signature) pairs this view probes:
@@ -412,8 +437,23 @@ impl AggregateView {
         let Some(value) = delta.tuple.get(self.value_col).cloned() else {
             return Vec::new();
         };
-        let key = delta.tuple.project(&self.group_cols);
-        let group = self.groups.entry(key.clone()).or_default();
+        let view = Projection {
+            values: delta.tuple.values(),
+            cols: Some(&self.group_cols),
+        };
+        // Only a group's first source tuple allocates its key.
+        if !self.groups.contains_key(&view as &dyn KeyView) {
+            let key = self
+                .group_cols
+                .iter()
+                .map(|&c| delta.tuple.values()[c].clone())
+                .collect();
+            self.groups.insert(ValueKey(key), GroupState::default());
+        }
+        let group = self
+            .groups
+            .get_mut(&view as &dyn KeyView)
+            .expect("group ensured above");
 
         match delta.sign {
             Sign::Insert => {
@@ -437,30 +477,57 @@ impl AggregateView {
             }
         }
 
+        // An unchanged aggregate value means an unchanged head tuple: the
+        // head is the group key plus the value.
         let new_value = group.aggregate(self.func);
-        let old_head = group.current.clone();
-        let new_head = new_value.map(|v| self.head_tuple(&key, &v));
-
-        let mut out = Vec::new();
-        if old_head == new_head {
-            return out;
+        if group.best == new_value {
+            return Vec::new();
         }
+        let old_head = group.current.take();
+        let new_head = new_value
+            .as_ref()
+            .map(|v| head_tuple(&self.head_template, &self.group_cols, &view, v));
+        let mut out = Vec::with_capacity(2);
         if let Some(old) = old_head {
             out.push(TupleDelta::delete(self.head_relation.clone(), old));
         }
-        if let Some(new) = new_head.clone() {
-            out.push(TupleDelta::insert(self.head_relation.clone(), new));
+        if let Some(new) = &new_head {
+            out.push(TupleDelta::insert(self.head_relation.clone(), new.clone()));
         }
         // Update (or drop) the group state.
-        if let Some(g) = self.groups.get_mut(&key) {
-            if g.total == 0 {
-                self.groups.remove(&key);
-            } else {
-                g.current = new_head;
-            }
+        if group.total == 0 {
+            self.groups.remove(&view as &dyn KeyView);
+        } else {
+            group.current = new_head;
+            group.best = new_value;
         }
         out
     }
+}
+
+/// Instantiate the head template for a group (`key` holds the group
+/// values in `group_cols` order) and its aggregate value.
+fn head_tuple(
+    template: &[HeadField],
+    group_cols: &[usize],
+    key: &dyn KeyView,
+    agg_value: &Value,
+) -> Tuple {
+    let values = template
+        .iter()
+        .map(|f| match f {
+            HeadField::Group(col) => {
+                let pos = group_cols
+                    .iter()
+                    .position(|c| c == col)
+                    .expect("group value present");
+                key.key_at(pos).clone()
+            }
+            HeadField::AggValue => agg_value.clone(),
+            HeadField::Const(c) => c.clone(),
+        })
+        .collect();
+    Tuple::new(values)
 }
 
 #[cfg(test)]

@@ -54,7 +54,8 @@
 //! run still fails with an `EvalError` either way, and engines treat
 //! post-error state as unspecified).
 
-use crate::expr::{eval_binop, eval_builtin, EvalError};
+use crate::expr::{call_builtin, eval_binop, EvalError};
+use crate::hash::FxHashMap;
 use crate::index::JoinStats;
 use crate::relation::StoredTuple;
 use crate::store::Store;
@@ -63,7 +64,7 @@ use crate::subplan::ProbeCache;
 use crate::tuple::{Tuple, TupleDelta};
 use ndlog_lang::seminaive::DeltaRule;
 use ndlog_lang::{Atom, Expr, Literal, Term, Value};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// One trigger delta of a batch with its join visibility limit (PSN passes
 /// the tuple's own timestamp; SN/BSN pass the iteration limit).
@@ -205,12 +206,15 @@ pub struct BatchScratch {
     /// Probe key → group index. Group numbering is first-occurrence order
     /// and every observable is addressed through it, so nothing depends
     /// on hashing or iteration order.
-    group_map: HashMap<Box<[Value]>, u32>,
+    group_map: FxHashMap<Box<[Value]>, u32>,
     /// Per group: the `(start, end)` range of its shared match set in the
     /// flat match buffer.
     group_ranges: Vec<(u32, u32)>,
     /// Reusable row for the once-per-candidate residual check.
     probe_row: Vec<Option<Value>>,
+    /// The grouped probe stages' match buffer, kept empty between batches
+    /// (see [`recycle`]).
+    matches: Vec<&'static StoredTuple>,
 }
 
 /// The derivations of one batch, grouped by trigger.
@@ -467,13 +471,7 @@ fn eval_slot(expr: &SlotExpr, row: &[Option<Value>]) -> Result<Value, EvalError>
             let rv = eval_slot(r, row)?;
             eval_binop(*op, &lv, &rv)
         }
-        SlotExpr::Call(name, args) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_slot(a, row)?);
-            }
-            eval_builtin(name, &vals)
-        }
+        SlotExpr::Call(name, args) => call_builtin(name, args, |a| eval_slot(a, row)),
     }
 }
 
@@ -541,7 +539,7 @@ fn group_and_probe<'r>(
     key_buf: &mut Vec<Value>,
     group_of: &mut Vec<u32>,
     group_sizes: &mut Vec<u32>,
-    group_map: &mut HashMap<Box<[Value]>, u32>,
+    group_map: &mut FxHashMap<Box<[Value]>, u32>,
     group_ranges: &mut Vec<(u32, u32)>,
     probe_row: &mut Vec<Option<Value>>,
     group_matches: &mut Vec<&'r StoredTuple>,
@@ -674,10 +672,9 @@ impl BatchPlan {
         scratch.rows.clear();
         scratch.origins.clear();
         // The shared match buffer of grouped probe stages: group `g`'s
-        // matches live at `group_ranges[g]`. Borrows the store, so it
-        // cannot live in the reusable scratch; it reaches steady-state
-        // capacity after the first stage.
-        let mut group_matches: Vec<&StoredTuple> = Vec::new();
+        // matches live at `group_ranges[g]`. It borrows the store, so the
+        // scratch keeps only its (empty) allocation between batches.
+        let mut group_matches: Vec<&StoredTuple> = recycle(std::mem::take(&mut scratch.matches));
 
         // Bind the trigger atom against every delta tuple of the batch.
         if !self.trigger_rejects {
@@ -727,6 +724,7 @@ impl BatchPlan {
                         group_map,
                         group_ranges,
                         probe_row,
+                        ..
                     } = &mut *scratch;
                     next_rows.clear();
                     next_origins.clear();
@@ -1010,8 +1008,20 @@ impl BatchPlan {
             out.offsets.push(out.derivations.len());
             next_trigger += 1;
         }
+        scratch.matches = recycle(group_matches);
         Ok(())
     }
+}
+
+/// Empty a buffer of references and re-type it for another borrow, keeping
+/// its allocation: the iterator is empty, so no element is ever produced,
+/// and collecting a `Vec`'s own `IntoIter` into a same-layout element type
+/// reuses the buffer in place.
+fn recycle<'b, T>(mut buf: Vec<&T>) -> Vec<&'b T> {
+    buf.clear();
+    buf.into_iter()
+        .map(|_| unreachable!("the buffer was emptied"))
+        .collect()
 }
 
 /// Project one fused (row, candidate) pair into a head derivation,
@@ -1062,4 +1072,19 @@ fn emit_fused(
         location,
     });
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::recycle;
+
+    #[test]
+    fn recycled_buffers_keep_their_allocation() {
+        let values = [1u8, 2, 3];
+        let mut buf: Vec<&u8> = Vec::with_capacity(64);
+        buf.extend(values.iter());
+        let kept: Vec<&'static u8> = recycle(buf);
+        assert!(kept.is_empty());
+        assert!(kept.capacity() >= 64, "the allocation survives re-typing");
+    }
 }

@@ -623,7 +623,7 @@ impl Evaluator {
         stats: &mut EvalStats,
     ) {
         let effect = self.store.apply(&delta);
-        if effect.propagate.is_empty() {
+        if effect.is_absorbed() {
             // Duplicate derivation or stale deletion: absorbed by the count
             // algorithm, nothing to propagate.
             if delta.sign == crate::tuple::Sign::Insert {
@@ -631,7 +631,8 @@ impl Evaluator {
             }
             return;
         }
-        for prop in effect.propagate {
+        let seq = effect.seq;
+        for prop in effect.into_propagation(delta) {
             if prop.sign == crate::tuple::Sign::Delete {
                 pending.push(prop);
                 continue;
@@ -647,7 +648,7 @@ impl Evaluator {
                     view_outputs.extend(view.apply(&self.store, &prop));
                 }
             }
-            queue.push_back((prop, effect.seq));
+            queue.push_back((prop, seq));
             for out in view_outputs {
                 self.ingest(out, queue, pending, stats);
             }

@@ -69,11 +69,26 @@ pub fn eval(expr: &Expr, bindings: &Bindings) -> Result<Value, EvalError> {
             let rv = eval(r, bindings)?;
             eval_binop(*op, &lv, &rv)
         }
-        Expr::Call(name, args) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(a, bindings)?);
-            }
+        Expr::Call(name, args) => call_builtin(name, args, |a| eval(a, bindings)),
+    }
+}
+
+/// Evaluate a builtin call's arguments with `eval_arg` and apply it. Calls
+/// with one or two arguments — every builtin's arity — keep their
+/// arguments on the stack; longer (erroneous) calls collect them.
+pub(crate) fn call_builtin<A>(
+    name: &str,
+    args: &[A],
+    mut eval_arg: impl FnMut(&A) -> Result<Value, EvalError>,
+) -> Result<Value, EvalError> {
+    match args {
+        [a] => eval_builtin(name, &[eval_arg(a)?]),
+        [a, b] => {
+            let a = eval_arg(a)?;
+            eval_builtin(name, &[a, eval_arg(b)?])
+        }
+        _ => {
+            let vals = args.iter().map(eval_arg).collect::<Result<Vec<_>, _>>()?;
             eval_builtin(name, &vals)
         }
     }
@@ -146,7 +161,7 @@ fn numeric_pair(op: BinOp, l: &Value, r: &Value) -> Result<(f64, f64), EvalError
 
 /// Evaluate a builtin function. Builtin names may be written with or
 /// without the `f_` prefix.
-pub fn eval_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
+pub fn eval_builtin<'a>(name: &str, args: &'a [Value]) -> Result<Value, EvalError> {
     let short = name.strip_prefix("f_").unwrap_or(name);
     let arity = |expected: usize| -> Result<(), EvalError> {
         if args.len() == expected {
@@ -159,34 +174,31 @@ pub fn eval_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
             })
         }
     };
-    let as_list = |v: &Value| -> Result<Vec<Value>, EvalError> {
-        v.as_list()
-            .map(<[Value]>::to_vec)
-            .ok_or(EvalError::TypeMismatch {
-                context: format!("{name} expects a list argument"),
-            })
+    // List arguments are borrowed, and error messages are only formatted
+    // on error: a builtin allocates only the list it returns.
+    let as_list = |v: &'a Value| -> Result<&'a [Value], EvalError> {
+        v.as_list().ok_or_else(|| EvalError::TypeMismatch {
+            context: format!("{name} expects a list argument"),
+        })
     };
+    // One exact-size allocation per built list.
+    let joined =
+        |front: &[Value], back: &[Value]| Value::List(front.iter().chain(back).cloned().collect());
     match short {
         // f_cons(x, list) -> [x | list]
         "cons" | "concatPath" => {
             arity(2)?;
-            let mut out = vec![args[0].clone()];
-            out.extend(as_list(&args[1])?);
-            Ok(Value::list(out))
+            Ok(joined(std::slice::from_ref(&args[0]), as_list(&args[1])?))
         }
         // f_append(list, x) -> list ++ [x]
         "append" => {
             arity(2)?;
-            let mut out = as_list(&args[0])?;
-            out.push(args[1].clone());
-            Ok(Value::list(out))
+            Ok(joined(as_list(&args[0])?, std::slice::from_ref(&args[1])))
         }
         // f_concat(list, list) -> list ++ list
         "concat" => {
             arity(2)?;
-            let mut out = as_list(&args[0])?;
-            out.extend(as_list(&args[1])?);
-            Ok(Value::list(out))
+            Ok(joined(as_list(&args[0])?, as_list(&args[1])?))
         }
         // f_member(list, x) -> 1 if x in list else 0
         "member" => {
@@ -205,7 +217,7 @@ pub fn eval_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
             as_list(&args[0])?
                 .first()
                 .cloned()
-                .ok_or(EvalError::TypeMismatch {
+                .ok_or_else(|| EvalError::TypeMismatch {
                     context: "f_first of empty list".into(),
                 })
         }
@@ -214,7 +226,7 @@ pub fn eval_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
             as_list(&args[0])?
                 .last()
                 .cloned()
-                .ok_or(EvalError::TypeMismatch {
+                .ok_or_else(|| EvalError::TypeMismatch {
                     context: "f_last of empty list".into(),
                 })
         }

@@ -14,46 +14,65 @@
 //!   that signature to a [`Bucket`] holding the matching tuples, so a
 //!   probe touches exactly the matching tuples;
 //! * [`crate::relation::Relation`] maintains its indexes incrementally on
-//!   insert, key-replacement, deletion and soft-state expiry, and answers
-//!   [`crate::relation::Relation::probe`] in O(matches).
+//!   insert, key-replacement, deletion and soft-state expiry, and chooses
+//!   per lookup among its access paths.
 //!
 //! Indexes are declared once per program (the evaluator and the per-node
 //! engines collect every compiled strand's signatures up front), never per
-//! join.
+//! join — but a declared signature only becomes a secondary index when no
+//! cheaper path serves it. [`crate::relation::Relation::lookup_n`] knows
+//! four access paths:
 //!
-//! # Interned keys, columnar buckets
+//! * **point** — a signature covering an explicit primary key is answered
+//!   by the relation's hashed primary-key map; no index is built for it;
+//! * **location walk** — in a node engine's store every tuple of a located
+//!   relation carries the node's own address in column 0, so column 0 is
+//!   dropped from its signatures and a column-0-only signature becomes a
+//!   walk over the whole relation in primary-key order;
+//! * **secondary** — a [`SecondaryIndex`] on what is left of the
+//!   signature, any bound columns it leaves out (column 0 included)
+//!   checked residually per candidate;
+//! * **scan** — nothing covers the bound columns.
+//!
+//! On the paper's shortest-path program four signatures per node remain:
+//! `link [1]`, `path [1]` and `[1, 4]`, and the transfer relation's `[1]`.
+//!
+//! # Interned keys, dense buckets
 //!
 //! Bucket keys are **interned**: a projection is mapped through the global
 //! [`crate::intern`] table to a fixed-size `[ValueId]`, so maintaining or
 //! probing an index hashes and compares `u32` ids instead of whole values
 //! (a path-vector column no longer walks its list per index operation),
-//! and the bucket map never clones projected `Value`s. Probe keys use the
-//! read-only [`crate::intern::lookup`] path: a never-interned probe value
-//! cannot match any stored tuple, so the probe answers "empty" without
-//! growing the table.
+//! and the bucket map never clones projected `Value`s. Probe keys and
+//! removals use the read-only [`crate::intern::lookup`] path: a
+//! never-interned value cannot match any stored tuple, so the probe
+//! answers "empty" without growing the table.
 //!
-//! Each [`Bucket`] is **columnar** (struct-of-arrays): parallel arrays of
-//! the member tuples' shared `Arc<[Value]>` primary keys (one allocation
-//! per stored tuple, reference-bumped into every index — kept only for
-//! deterministic ordering and materialization), their storage timestamps,
-//! and their full column values as contiguous per-column `ValueId` arrays.
+//! Each [`Bucket`] holds its members in two dense arrays, both sorted by
+//! primary-key *value* (never by id), so probe results iterate in
+//! deterministic order and simulation runs stay bit-for-bit reproducible:
+//!
+//! * per member, its shared `Arc<[Value]>` primary key (the relation's own
+//!   allocation, reference-bumped into every index — kept for ordering),
+//!   its storage timestamp and the relation slot holding the tuple;
+//! * row-major, every member's column values as interned `ValueId`s.
+//!
 //! Visibility (`seq <= seq_limit`) and residual-column filtering therefore
-//! walk dense `u64`/`u32` arrays; only the surviving candidates pay the
-//! primary-key map lookup that materializes the stored tuple. The arrays
-//! are sorted by primary-key *value* (never by id), so probe results
-//! iterate in deterministic order and simulation runs stay bit-for-bit
-//! reproducible. Buckets accumulating tuples of differing arities (only
-//! possible in hand-built test stores) degrade to key/seq arrays with
+//! compare dense `u64`/`u32` values, and a surviving candidate is
+//! materialized straight from its slot, without a key lookup. A bucket
+//! costs three allocations whatever the arity (its map key and the two
+//! arrays). Buckets accumulating tuples of differing arities (only
+//! possible in hand-built test stores) degrade to the member array with
 //! value-compared residuals.
 //!
-//! Maintenance of a columnar bucket is O(bucket size) per insert/remove
-//! (sorted `Vec` splicing across the parallel arrays) versus the old
-//! `BTreeSet`'s O(log n) — a deliberate trade: probe-side dense walks
-//! dominate maintenance in every measured workload, and real buckets are
-//! match sets (tens to hundreds of entries), not whole relations. A
-//! relation bulk-loading millions of tuples under one projection would
-//! want a hybrid (tree beyond a size threshold) — noted as a follow-on
-//! in the ROADMAP.
+//! Maintenance is O(bucket size) per insert/remove (sorted `Vec`
+//! splicing) versus a tree's O(log n) — a deliberate trade: probe-side
+//! dense walks dominate maintenance in every measured workload, and
+//! buckets are small: on the shortest-path program they hold one or two
+//! tuples on average, because a located relation's column 0, which would
+//! file the whole relation under one bucket, is served by the location
+//! walk. A relation bulk-loading millions of tuples under one projection
+//! would want a hybrid (tree beyond a size threshold).
 //!
 //! # Probe accounting
 //!
@@ -67,9 +86,9 @@
 //! logical_probes` there; the tuple-at-a-time path performs one lookup per
 //! environment, so the two counters coincide.
 
+use crate::hash::FxHashMap;
 use crate::intern::{self, ValueId};
 use ndlog_lang::Value;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Join-level counters accumulated while firing strands: how many joins
@@ -143,105 +162,97 @@ impl IndexSignature {
     }
 }
 
-/// A bucket: the tuples sharing one projection, stored columnar
-/// (struct-of-arrays) in deterministic primary-key-value order. See the
-/// module docs for the layout.
-#[derive(Debug, Clone)]
+/// A bucket: the tuples sharing one projection, in deterministic
+/// primary-key-value order, stored as two dense arrays. See the module
+/// docs for the layout.
+#[derive(Debug, Clone, Default)]
 pub struct Bucket {
-    /// Shared primary keys, sorted by value (deterministic probe order).
-    keys: Vec<Arc<[Value]>>,
-    /// Parallel: the storage timestamp of each member tuple, for dense
-    /// visibility filtering.
-    seqs: Vec<u64>,
-    /// Columnar member payload: `cols[c][i]` is the interned id of column
-    /// `c` of member `i`. Empty once the bucket has degraded (mixed
+    /// Members in primary-key-value order: each one's shared primary key,
+    /// storage timestamp and relation slot.
+    members: Vec<(Arc<[Value]>, u64, u32)>,
+    /// Row-major member payload: column `c` of member `i` is interned as
+    /// `ids[i * arity + c]`. Empty once the bucket has degraded (mixed
     /// arities).
-    cols: Vec<Vec<ValueId>>,
-    /// Whether `cols` is authoritative. A bucket degrades permanently when
-    /// tuples of differing arities are filed under it (hand-built test
-    /// stores only); residual filtering then falls back to comparing
-    /// materialized values.
-    columnar: bool,
-}
-
-impl Default for Bucket {
-    /// An empty bucket, columnar until proven mixed-arity.
-    fn default() -> Self {
-        Bucket {
-            keys: Vec::new(),
-            seqs: Vec::new(),
-            cols: Vec::new(),
-            columnar: true,
-        }
-    }
+    ids: Vec<ValueId>,
+    /// The members' common arity.
+    arity: usize,
+    /// Set for good when tuples of differing arities are filed under the
+    /// bucket (hand-built test stores only); residual filtering then falls
+    /// back to comparing materialized values.
+    degraded: bool,
 }
 
 impl Bucket {
     /// Number of member tuples.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.members.len()
     }
 
     /// Whether the bucket has no members.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The member primary keys in deterministic (value-sorted) order.
-    pub fn keys(&self) -> impl Iterator<Item = &Arc<[Value]>> {
-        self.keys.iter()
+        self.members.is_empty()
     }
 
     /// The member primary key at `i`.
     pub fn key(&self, i: usize) -> &Arc<[Value]> {
-        &self.keys[i]
+        &self.members[i].0
     }
 
     /// The storage timestamp of member `i`.
     pub fn seq(&self, i: usize) -> u64 {
-        self.seqs[i]
+        self.members[i].1
     }
 
-    /// Whether the columnar payload is authoritative (uniform arity).
-    pub fn is_columnar(&self) -> bool {
-        self.columnar
+    /// The relation slot holding member `i` (see
+    /// [`crate::relation::Relation`]): the stored tuple is reached without
+    /// a key lookup.
+    pub fn slot(&self, i: usize) -> u32 {
+        self.members[i].2
     }
 
-    /// The member arity when columnar.
+    /// Whether the dense id payload is authoritative (uniform arity).
+    pub fn has_ids(&self) -> bool {
+        !self.degraded
+    }
+
+    /// The members' common arity (meaningful while [`Bucket::has_ids`]).
     pub fn arity(&self) -> usize {
-        self.cols.len()
+        self.arity
     }
 
-    /// The dense id column `c`, parallel to `keys` (columnar buckets only).
-    pub fn column(&self, c: usize) -> Option<&[ValueId]> {
-        self.cols.get(c).map(Vec::as_slice)
+    /// The interned id of column `c` of member `i`, when the bucket has
+    /// ids and `c` is within the arity.
+    pub fn id(&self, i: usize, c: usize) -> Option<ValueId> {
+        (!self.degraded && c < self.arity).then(|| self.ids[i * self.arity + c])
     }
 
     /// File a member under its primary key, keeping the arrays sorted.
     /// Returns false when the key is already present (idempotent add).
-    fn insert(&mut self, primary_key: Arc<[Value]>, tuple_ids: &[ValueId], seq: u64) -> bool {
+    fn insert(
+        &mut self,
+        primary_key: Arc<[Value]>,
+        tuple_ids: &[ValueId],
+        seq: u64,
+        slot: u32,
+    ) -> bool {
         let pos = match self
-            .keys
-            .binary_search_by(|k| k.as_ref().cmp(primary_key.as_ref()))
+            .members
+            .binary_search_by(|(k, _, _)| k.as_ref().cmp(primary_key.as_ref()))
         {
             Ok(_) => return false,
             Err(pos) => pos,
         };
-        if self.columnar {
-            if self.keys.is_empty() {
-                self.cols = vec![Vec::new(); tuple_ids.len()];
-            } else if tuple_ids.len() != self.cols.len() {
-                // Mixed arities: degrade to key/seq arrays for good.
-                self.cols.clear();
-                self.columnar = false;
-            }
+        if self.members.is_empty() && !self.degraded {
+            self.arity = tuple_ids.len();
+        } else if tuple_ids.len() != self.arity {
+            // Mixed arities: degrade to key/seq members for good.
+            self.ids = Vec::new();
+            self.degraded = true;
         }
-        self.keys.insert(pos, primary_key);
-        self.seqs.insert(pos, seq);
-        if self.columnar {
-            for (c, col) in self.cols.iter_mut().enumerate() {
-                col.insert(pos, tuple_ids[c]);
-            }
+        self.members.insert(pos, (primary_key, seq, slot));
+        if !self.degraded {
+            let at = pos * self.arity;
+            self.ids.splice(at..at, tuple_ids.iter().copied());
         }
         true
     }
@@ -249,24 +260,27 @@ impl Bucket {
     /// Remove the member with this primary key. Returns whether it was
     /// present.
     fn remove(&mut self, primary_key: &[Value]) -> bool {
-        let Ok(pos) = self.keys.binary_search_by(|k| k.as_ref().cmp(primary_key)) else {
+        let Ok(pos) = self
+            .members
+            .binary_search_by(|(k, _, _)| k.as_ref().cmp(primary_key))
+        else {
             return false;
         };
-        self.keys.remove(pos);
-        self.seqs.remove(pos);
-        for col in &mut self.cols {
-            col.remove(pos);
+        self.members.remove(pos);
+        if !self.degraded {
+            let at = pos * self.arity;
+            self.ids.drain(at..at + self.arity);
         }
         true
     }
 }
 
-/// A hash index from an interned bound-column projection to the columnar
+/// A hash index from an interned bound-column projection to the dense
 /// bucket of tuples carrying it.
 #[derive(Debug, Clone)]
 pub struct SecondaryIndex {
     signature: IndexSignature,
-    buckets: HashMap<Box<[ValueId]>, Bucket>,
+    buckets: FxHashMap<Box<[ValueId]>, Bucket>,
     /// Total number of (projection, primary-key) entries, for accounting.
     entries: usize,
     /// Reusable id scratch for the maintenance (write) path.
@@ -278,7 +292,7 @@ impl SecondaryIndex {
     pub fn new(signature: IndexSignature) -> Self {
         SecondaryIndex {
             signature,
-            buckets: HashMap::new(),
+            buckets: FxHashMap::default(),
             entries: 0,
             scratch: Vec::new(),
         }
@@ -299,15 +313,16 @@ impl SecondaryIndex {
         self.entries == 0
     }
 
-    /// Register a stored tuple under its (shared) primary key. `tuple_ids`
-    /// are the interned ids of *all* the tuple's columns (the relation
-    /// interns each stored tuple once and shares the ids across its
-    /// indexes); the bucket key is the projection onto this index's
-    /// signature, and the full ids become the bucket's columnar payload.
+    /// Register a stored tuple under its (shared) primary key and relation
+    /// slot. `tuple_ids` are the interned ids of *all* the tuple's columns
+    /// (the relation interns each stored tuple once and shares the ids
+    /// across its indexes); the bucket key is the projection onto this
+    /// index's signature, and the full ids become the bucket's dense
+    /// payload.
     /// Tuples lacking a signature column (shorter arity) are skipped —
     /// they stay unindexed and unreachable by probes on this signature,
     /// matching residual-scan semantics.
-    pub fn add(&mut self, tuple_ids: &[ValueId], primary_key: Arc<[Value]>, seq: u64) {
+    pub fn add(&mut self, tuple_ids: &[ValueId], primary_key: Arc<[Value]>, seq: u64, slot: u32) {
         self.scratch.clear();
         for &c in self.signature.columns() {
             match tuple_ids.get(c) {
@@ -315,22 +330,32 @@ impl SecondaryIndex {
                 None => return,
             }
         }
+        // Only a new bucket allocates its key.
+        if !self.buckets.contains_key(self.scratch.as_slice()) {
+            self.buckets
+                .insert(self.scratch.as_slice().into(), Bucket::default());
+        }
         let bucket = self
             .buckets
-            .entry(self.scratch.as_slice().into())
-            .or_default();
-        if bucket.insert(primary_key, tuple_ids, seq) {
+            .get_mut(self.scratch.as_slice())
+            .expect("bucket ensured above");
+        if bucket.insert(primary_key, tuple_ids, seq, slot) {
             self.entries += 1;
         }
     }
 
-    /// Remove a stored tuple's projection entry. Returns whether an entry
-    /// was actually removed (false indicates the index was already
-    /// consistent, e.g. a stale-deletion no-op). Resolves the projection
+    /// Remove a stored tuple's entry: `tuple_values` are the tuple's
+    /// columns (projected onto the signature here) and `primary_key` its
+    /// key. Returns whether an entry was actually removed (false indicates
+    /// the index was already consistent, e.g. a stale-deletion no-op, or a
+    /// tuple too short to have been filed). Resolves the projection
     /// read-only: a projection containing a never-interned value cannot
     /// have an entry, so removals never grow the intern table.
-    pub fn remove(&mut self, projection: &[&Value], primary_key: &[Value]) -> bool {
-        if !intern::lookup_refs_into(projection, &mut self.scratch) {
+    pub fn remove(&mut self, tuple_values: &[Value], primary_key: &[Value]) -> bool {
+        let cols = self.signature.columns();
+        if cols.last().is_some_and(|&c| c >= tuple_values.len())
+            || !intern::lookup_into(cols.iter().map(|&c| &tuple_values[c]), &mut self.scratch)
+        {
             return false;
         }
         let Some(bucket) = self.buckets.get_mut(self.scratch.as_slice()) else {
@@ -346,26 +371,40 @@ impl SecondaryIndex {
         removed
     }
 
-    /// The primary keys whose tuples project to `key_values`, in
-    /// deterministic (sorted) order. Empty when no tuple matches.
-    pub fn probe<'i>(&'i self, key_values: &[Value]) -> impl Iterator<Item = &'i Arc<[Value]>> {
-        self.bucket(key_values).into_iter().flat_map(Bucket::keys)
+    /// Drop every entry, keeping the signature.
+    pub fn clear(&mut self) {
+        self.buckets.clear();
+        self.entries = 0;
     }
 
-    /// The bucket for one projection, if any — the eager form of
-    /// [`SecondaryIndex::probe`], used when the caller needs an iterator
-    /// that borrows only the index (not the probe key). Probe values are
-    /// resolved through the read-only interner path (one lock per probe,
-    /// a reusable thread-local id buffer, no allocation), so a
-    /// never-stored value answers `None` without growing the intern table.
+    /// The bucket for one projection (the probe values in signature
+    /// order), if any.
     pub fn bucket(&self, key_values: &[Value]) -> Option<&Bucket> {
+        self.bucket_by(key_values.iter())
+    }
+
+    /// The bucket a lookup binding `cols` (sorted, covering this index's
+    /// signature) to the parallel `key` values probes: the signature's
+    /// values are picked out of the key in place, never projected into a
+    /// temporary.
+    pub fn bucket_for(&self, cols: &[usize], key: &[Value]) -> Option<&Bucket> {
+        self.bucket_by(self.signature.columns().iter().map(|c| {
+            let pos = cols.binary_search(c).expect("covered signature");
+            &key[pos]
+        }))
+    }
+
+    /// Resolve probe values through the read-only interner path (one lock
+    /// per probe, a reusable thread-local id buffer, no allocation), so a
+    /// never-stored value answers `None` without growing the intern table.
+    fn bucket_by<'v>(&self, values: impl Iterator<Item = &'v Value>) -> Option<&Bucket> {
         thread_local! {
             static PROBE_IDS: std::cell::RefCell<Vec<ValueId>> =
                 const { std::cell::RefCell::new(Vec::new()) };
         }
         PROBE_IDS.with(|ids| {
             let mut ids = ids.borrow_mut();
-            if !intern::lookup_into(key_values, &mut ids) {
+            if !intern::lookup_into(values, &mut ids) {
                 return None;
             }
             self.buckets.get(ids.as_slice())
@@ -375,12 +414,6 @@ impl SecondaryIndex {
     /// Number of distinct projections (buckets).
     pub fn bucket_count(&self) -> usize {
         self.buckets.len()
-    }
-
-    /// Number of primary keys filed under one projection (0 when absent):
-    /// the tuples a probe on `key_values` examines.
-    pub fn bucket_size(&self, key_values: &[Value]) -> usize {
-        self.bucket(key_values).map_or(0, Bucket::len)
     }
 }
 
@@ -404,13 +437,19 @@ mod tests {
         let refs: Vec<&Value> = t.values().iter().collect();
         let mut ids = Vec::new();
         intern::intern_into(&refs, &mut ids);
-        idx.add(&ids, key(tuple), seq);
+        idx.add(&ids, key(tuple), seq, 0);
+    }
+
+    /// The member keys filed under `key` (empty when no bucket).
+    fn keys(idx: &SecondaryIndex, key: &[i64]) -> Vec<Vec<Value>> {
+        idx.bucket(&vals(key)).map_or_else(Vec::new, |b| {
+            (0..b.len()).map(|i| b.key(i).to_vec()).collect()
+        })
     }
 
     fn remove(idx: &mut SecondaryIndex, tuple: &[i64]) -> bool {
         let t = vals(tuple);
-        let proj: Vec<&Value> = idx.signature().columns().iter().map(|&c| &t[c]).collect();
-        idx.remove(&proj, &t)
+        idx.remove(&t, &t)
     }
 
     #[test]
@@ -431,13 +470,12 @@ mod tests {
         assert_eq!(idx.len(), 3);
         assert_eq!(idx.bucket_count(), 2);
 
-        let hits: Vec<&[Value]> = idx.probe(&vals(&[1])).map(|k| k.as_ref()).collect();
-        assert_eq!(hits, vec![&vals(&[1, 10])[..], &vals(&[1, 20])[..]]);
-        assert_eq!(idx.probe(&vals(&[9])).count(), 0);
+        assert_eq!(keys(&idx, &[1]), vec![vals(&[1, 10]), vals(&[1, 20])]);
+        assert!(keys(&idx, &[9]).is_empty());
 
         assert!(remove(&mut idx, &[1, 10]));
         assert!(!remove(&mut idx, &[1, 10]), "double remove is a no-op");
-        assert_eq!(idx.probe(&vals(&[1])).count(), 1);
+        assert_eq!(keys(&idx, &[1]).len(), 1);
         assert!(remove(&mut idx, &[1, 20]));
         assert_eq!(idx.bucket_count(), 1, "empty buckets are dropped");
         assert!(remove(&mut idx, &[2, 30]));
@@ -455,25 +493,27 @@ mod tests {
     }
 
     #[test]
-    fn buckets_are_columnar_and_carry_seqs() {
+    fn buckets_are_dense_and_carry_seqs() {
         let mut idx = SecondaryIndex::new(IndexSignature::new(&[1]));
         add(&mut idx, &[7, 3, 40], 11);
         add(&mut idx, &[5, 3, 30], 12);
         let bucket = idx.bucket(&vals(&[3])).unwrap();
-        assert!(bucket.is_columnar());
+        assert!(bucket.has_ids());
         assert_eq!(bucket.arity(), 3);
         assert_eq!(bucket.len(), 2);
         // Members sort by primary-key value: [5,3,30] before [7,3,40].
         assert_eq!(bucket.key(0).as_ref(), &vals(&[5, 3, 30])[..]);
         assert_eq!(bucket.seq(0), 12);
         assert_eq!(bucket.seq(1), 11);
-        // The dense columns are parallel to the keys and resolve back to
-        // the stored values.
-        let col2 = bucket.column(2).unwrap();
-        assert_eq!(col2.len(), 2);
-        assert_eq!(intern::resolve(col2[0]), Value::Int(30));
-        assert_eq!(intern::resolve(col2[1]), Value::Int(40));
-        assert!(bucket.column(3).is_none());
+        // The dense ids are parallel to the keys and resolve back to the
+        // stored values.
+        assert_eq!(intern::resolve(bucket.id(0, 2).unwrap()), Value::Int(30));
+        assert_eq!(intern::resolve(bucket.id(1, 2).unwrap()), Value::Int(40));
+        assert_eq!(intern::resolve(bucket.id(1, 0).unwrap()), Value::Int(7));
+        assert!(bucket.id(0, 3).is_none());
+        assert!(remove(&mut idx, &[5, 3, 30]));
+        let bucket = idx.bucket(&vals(&[3])).unwrap();
+        assert_eq!(intern::resolve(bucket.id(0, 2).unwrap()), Value::Int(40));
     }
 
     #[test]
@@ -482,10 +522,9 @@ mod tests {
         add(&mut idx, &[9, 1], 1);
         add(&mut idx, &[9, 1, 2], 2);
         let bucket = idx.bucket(&vals(&[9])).unwrap();
-        assert!(!bucket.is_columnar(), "mixed arities degrade the bucket");
+        assert!(!bucket.has_ids(), "mixed arities degrade the bucket");
         assert_eq!(bucket.len(), 2);
-        let hits: Vec<&[Value]> = idx.probe(&vals(&[9])).map(|k| k.as_ref()).collect();
-        assert_eq!(hits.len(), 2);
+        assert_eq!(keys(&idx, &[9]).len(), 2);
         assert!(remove(&mut idx, &[9, 1]));
         assert!(remove(&mut idx, &[9, 1, 2]));
         assert!(idx.is_empty());
@@ -508,7 +547,6 @@ mod tests {
         // must answer without interning it.
         let novel = Value::str("index-test-never-stored-77ab");
         assert!(idx.bucket(std::slice::from_ref(&novel)).is_none());
-        assert_eq!(idx.bucket_size(std::slice::from_ref(&novel)), 0);
         assert_eq!(crate::intern::lookup(&novel), None);
     }
 }

@@ -32,23 +32,27 @@
 //! # Lifetime and leak policy
 //!
 //! Interned values are never freed: the table lives for the process and
-//! grows with the set of distinct values **ever stored in any column of
-//! an indexed relation** — since the columnar buckets of
-//! [`crate::index`] carry per-column id arrays, the relation write path
-//! ([`intern_all_into`]) interns whole tuples, not just the
-//! index-signature projections. Under churn workloads that is the
-//! cumulative history, not the currently stored data, so a
-//! very-long-running engine minting fresh values every burst (unique
+//! grows with the set of distinct values **ever stored in a relation that
+//! materializes a secondary index**. A bucket carries every column of its
+//! members as ids, so such a relation's write path ([`intern_all_into`])
+//! interns whole tuples, not just the signature projections. Relations
+//! whose lookups are all served by point lookups or location walks (see
+//! [`crate::index`]) build no index and intern nothing — on the paper's
+//! shortest-path program, the aggregate and result tables. A pinned
+//! relation interns its node's address once. Under churn workloads the
+//! table tracks the cumulative history, not the currently stored data, so
+//! a very-long-running engine minting fresh values every burst (unique
 //! costs, fresh path vectors) trades memory for the id fast path (an
 //! explicit, documented trade; epoch-based reclamation is a possible
-//! follow-on). To
-//! keep transient values from growing the table, every non-storing path —
-//! probe keys *and* index removals — uses [`lookup`] (read-only): a value
-//! that was never interned cannot match any indexed tuple, so a miss
-//! simply means "no bucket".
+//! follow-on). Every non-storing path — probe keys, residual checks and
+//! index removals — uses [`lookup`] or [`lookup_into`] (read-only): a
+//! value that was never interned cannot match any indexed tuple, so a miss
+//! simply means "no bucket". The table is hashed with the engine's fast
+//! internal hasher (ids are assigned in first-intern order, never by
+//! hash, so the hasher cannot affect any id or result).
 
+use crate::hash::FxHashMap;
 use ndlog_lang::Value;
-use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
 
 /// A fixed-size handle to an interned [`Value`]. Id equality is `Value`
@@ -65,7 +69,7 @@ impl ValueId {
 
 #[derive(Default)]
 struct Inner {
-    ids: HashMap<Value, u32>,
+    ids: FxHashMap<Value, u32>,
     values: Vec<Value>,
 }
 
@@ -156,29 +160,19 @@ pub fn intern_all_into(values: &[Value], out: &mut Vec<ValueId>) {
 }
 
 /// Look up every value of a probe key into `out` (cleared first), under a
-/// single read lock. Returns false — leaving `out` incomplete — as soon
-/// as any value has no id, meaning the probe cannot match anything.
-pub fn lookup_into(values: &[Value], out: &mut Vec<ValueId>) -> bool {
+/// single read lock. The values come from any iterator (a probe key's
+/// signature columns, a stored tuple's index projection), so callers never
+/// collect them into a temporary buffer. Returns false — leaving `out`
+/// incomplete — as soon as any value has no id, meaning the probe cannot
+/// match anything.
+pub fn lookup_into<'v>(
+    values: impl IntoIterator<Item = &'v Value>,
+    out: &mut Vec<ValueId>,
+) -> bool {
     out.clear();
-    out.reserve(values.len());
     let inner = table().read().expect("interner lock");
     for v in values {
         match inner.ids.get(v) {
-            Some(&id) => out.push(ValueId(id)),
-            None => return false,
-        }
-    }
-    true
-}
-
-/// Borrowed-projection variant of [`lookup_into`], for callers that hold
-/// `&Value`s (index removal).
-pub fn lookup_refs_into(values: &[&Value], out: &mut Vec<ValueId>) -> bool {
-    out.clear();
-    out.reserve(values.len());
-    let inner = table().read().expect("interner lock");
-    for v in values {
-        match inner.ids.get(*v) {
             Some(&id) => out.push(ValueId(id)),
             None => return false,
         }

@@ -8,7 +8,8 @@
 //!   (path-vector construction, membership tests, arithmetic);
 //! * [`relation`] — stored relations with primary keys, derivation counts
 //!   (the count algorithm for deletions), per-tuple timestamps and optional
-//!   soft-state TTLs;
+//!   soft-state TTLs, and the one access-path chooser behind every join
+//!   (point lookup, location walk, secondary index or scan);
 //! * [`intern`] — the global thread-safe [`Value`](ndlog_lang::Value)
 //!   interner behind the index layer: ids are stable for the life of the
 //!   process (interned values are deliberately never freed — the distinct-
@@ -19,9 +20,10 @@
 //!   the determinism guarantee the parallel engine relies on;
 //! * [`index`] — secondary hash indexes over bound-column signatures,
 //!   maintained incrementally so joins probe in O(matches) instead of
-//!   scanning; bucket keys are interned `ValueId`s and bucket entries are
-//!   shared `Arc` primary keys, so index maintenance hashes fixed-size ids
-//!   instead of cloning values;
+//!   scanning; only signatures no point lookup or location walk serves are
+//!   materialized, bucket keys are interned `ValueId`s and bucket members
+//!   are shared `Arc` primary keys with their relation slots, so index
+//!   maintenance hashes fixed-size ids instead of cloning values;
 //! * [`store`] — a node's collection of relations, built from a program's
 //!   `materialize` declarations;
 //! * [`strand`] — compiled rule strands (the unit of execution in P2's
@@ -68,11 +70,20 @@
 //!   group member through offset ranges into a flat match buffer. Real
 //!   workloads (path exploration, flooding) are heavily key-skewed, so
 //!   this removes most bucket lookups and candidate materializations.
-//! * **Columnar index buckets** ([`index`]): each bucket stores its
-//!   member tuples struct-of-arrays — value-sorted shared `Arc<[Value]>`
-//!   primary keys, a dense seq array, and contiguous per-column `ValueId`
-//!   arrays — so visibility and residual filtering walk dense `u64`/`u32`
-//!   arrays and only surviving candidates pay the primary-key map lookup.
+//! * **Dense index buckets** ([`index`]): each bucket stores its members
+//!   in two value-sorted arrays — (shared `Arc<[Value]>` primary key, seq,
+//!   relation slot) per member, and every member's columns as row-major
+//!   `ValueId`s — so visibility and residual filtering compare dense
+//!   `u64`/`u32` values and surviving candidates are read straight from
+//!   their slots.
+//! * **Allocation-free ingest** ([`relation`], [`aggview`], [`store`],
+//!   [`expr`]): membership tests, aggregate-selection checks and
+//!   duplicate inserts look keys up borrowed from the tuple (see the
+//!   private `key` module) in hashed maps, list builtins borrow their list
+//!   arguments and build their result in one allocation, and builtin calls
+//!   keep their arguments on the stack. `tests/allocation_budget.rs` pins
+//!   the per-derivation allocation rate of the paper's shortest-path
+//!   workload.
 //! * **Cross-rule shared subplans** ([`subplan`]): planning fingerprints
 //!   every join stage's probe as a `(relation, bound-column signature)`
 //!   with [`subplan::shared_signatures`]; when two or more stages across
@@ -121,8 +132,10 @@ pub mod batch;
 pub mod dred;
 pub mod evaluator;
 pub mod expr;
+mod hash;
 pub mod index;
 pub mod intern;
+mod key;
 pub mod relation;
 pub mod store;
 pub mod strand;

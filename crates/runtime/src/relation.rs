@@ -18,27 +18,40 @@
 //! Relations additionally maintain **secondary hash indexes** (declared
 //! once per program from the compiled strands' bound-column signatures, see
 //! [`crate::index`]): every mutation — insertion, key replacement, deletion,
-//! expiry — updates the indexes incrementally, and
-//! [`Relation::probe`] answers an equality lookup in O(matches) instead of
-//! the O(|relation|) of [`Relation::scan_match`]. When several declared
-//! signatures can serve a lookup, [`Relation::lookup`] makes a cost-based
-//! choice: the candidate binding the most columns wins, with the smallest
-//! bucket estimate breaking ties and signature order breaking exact ties
-//! (so the choice never depends on index declaration order), and any
-//! leftover bound columns enforced residually. Buckets are columnar (see
-//! [`crate::index`]): visibility and residual filtering walk dense
-//! seq/`ValueId` arrays, and only surviving candidates pay the primary-key
-//! map lookup that materializes the stored tuple. [`Relation::lookup_n`]
-//! is the grouped-probe entry point: one bucket lookup answers `members`
-//! same-key environments, with the per-environment (`logical`) accounting
-//! preserved via a multiplier.
+//! expiry — updates the indexes incrementally. [`Relation::lookup_n`] (and
+//! its single-environment form [`Relation::lookup`]) is the one access-path
+//! chooser behind every join; it answers an equality lookup through one of
+//! four paths:
+//!
+//! * **point** — the bound columns cover an explicit primary key, so the
+//!   primary map answers with at most one tuple (no secondary index is
+//!   ever built for such a signature);
+//! * **location walk** — in a store pinned to a node
+//!   ([`Relation::set_location`]) every tuple carries the node's address
+//!   in column 0, so a lookup bound only on column 0 is the whole relation
+//!   in primary-key order;
+//! * **secondary** — the most selective declared index whose signature the
+//!   bound columns cover (column 0 dropped from signatures of pinned
+//!   relations), with the leftover bound columns checked residually;
+//! * **scan** — nothing serves the bound columns.
+//!
+//! Stored tuples live in stable slots, reached three ways: a hashed
+//! primary-key map serves membership tests, insertions, deletions and
+//! point lookups in one probe; an ordered map from key to slot serves
+//! iteration, walks and scans in deterministic key order; and index
+//! buckets name their members' slots directly, so a probe candidate that
+//! survives visibility and residual filtering (see [`crate::index`]) is
+//! read without a key lookup. Key lookups borrow the tuple's key columns
+//! (`crate::key`) instead of projecting them into a fresh vector.
 
+use crate::hash::FxHashMap;
 use crate::index::{Bucket, IndexSignature, JoinStats, SecondaryIndex};
 use crate::intern::{self, ValueId};
+use crate::key::{KeyView, Picked, Projection, ValueKey};
 use crate::tuple::Tuple;
 use ndlog_lang::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::sync::Arc;
 
 /// Schema of a stored relation.
@@ -80,6 +93,39 @@ impl RelationSchema {
             tuple.values().to_vec()
         } else {
             tuple.project(&self.key_columns)
+        }
+    }
+
+    /// Whether a lookup binding `cols` (sorted) pins an explicit primary
+    /// key. Relations keyed on all columns never qualify: their arity is
+    /// not part of the schema.
+    pub fn key_covered_by(&self, cols: &[usize]) -> bool {
+        !self.key_columns.is_empty()
+            && self
+                .key_columns
+                .iter()
+                .all(|c| cols.binary_search(c).is_ok())
+    }
+
+    /// The primary key of a tuple, borrowed from its columns.
+    fn key_view<'a>(&'a self, tuple: &'a Tuple) -> Projection<'a> {
+        Projection {
+            values: tuple.values(),
+            cols: (!self.key_columns.is_empty()).then_some(self.key_columns.as_slice()),
+        }
+    }
+
+    /// The primary key of a tuple as the shared allocation the primary map
+    /// and every index bucket reference (one allocation, no intermediate
+    /// vector).
+    fn shared_key(&self, tuple: &Tuple) -> Arc<[Value]> {
+        if self.key_columns.is_empty() {
+            tuple.values().into()
+        } else {
+            self.key_columns
+                .iter()
+                .map(|&c| tuple.values()[c].clone())
+                .collect()
         }
     }
 }
@@ -127,12 +173,34 @@ pub enum DeleteOutcome {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Relation {
     schema: RelationSchema,
-    tuples: BTreeMap<Vec<Value>, StoredTuple>,
-    /// Secondary indexes, one per declared bound-column signature.
+    /// Stored tuples. A tuple keeps its slot while stored (replacements
+    /// happen in place), so index buckets reach it by slot; vacated slots
+    /// are reused.
+    slots: Vec<Option<StoredTuple>>,
+    /// Vacated slots awaiting reuse.
+    free: Vec<u32>,
+    /// Primary key → slot in key order: iteration, walks and scans. The
+    /// key allocation is shared with `by_key` and every index bucket the
+    /// tuple is filed in.
+    order: BTreeMap<Arc<[Value]>, u32>,
+    /// Primary key → slot, hashed: membership tests, insertions,
+    /// deletions and point lookups. Never iterated, so hashing cannot
+    /// affect any result.
+    by_key: FxHashMap<ValueKey, u32>,
+    /// Secondary indexes, one per distinct materialized signature.
     /// Derivable state: skipped by serialization; the engine re-declares
     /// every signature at construction time.
     #[serde(skip)]
     indexes: Vec<SecondaryIndex>,
+    /// The owning node's address (and its interned id) when every stored
+    /// tuple carries it in column 0 — see [`Relation::set_location`].
+    #[serde(skip)]
+    location: Option<(Value, ValueId)>,
+    /// Whether a signature binding column 0 alone was declared on a pinned
+    /// relation: such lookups then walk the relation and count as probes,
+    /// standing in for the single bucket that index would have held.
+    #[serde(skip)]
+    location_walk: bool,
     /// Reusable scratch for the index write path: each stored tuple's
     /// columns are interned once here and the ids shared by every index.
     #[serde(skip)]
@@ -153,8 +221,13 @@ impl Relation {
     pub fn new(schema: RelationSchema) -> Self {
         Relation {
             schema,
-            tuples: BTreeMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            order: BTreeMap::new(),
+            by_key: FxHashMap::default(),
             indexes: Vec::new(),
+            location: None,
+            location_walk: false,
             id_scratch: Vec::new(),
             lossy_replacements: 0,
         }
@@ -167,47 +240,61 @@ impl Relation {
 
     /// Number of stored tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.order.len()
     }
 
     /// Whether the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.order.is_empty()
     }
 
     /// Whether an identical tuple is stored.
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.tuples
-            .get(&self.schema.key_of(tuple))
-            .is_some_and(|s| &s.tuple == tuple)
+        self.get_by_key_of(tuple).is_some_and(|s| &s.tuple == tuple)
     }
 
     /// The stored tuple with the same primary key as `tuple`, if any.
     pub fn get_by_key_of(&self, tuple: &Tuple) -> Option<&StoredTuple> {
-        self.tuples.get(&self.schema.key_of(tuple))
+        self.stored_at(&self.schema.key_view(tuple))
     }
 
     /// Look up by an explicit key.
     pub fn get(&self, key: &[Value]) -> Option<&StoredTuple> {
-        self.tuples.get(key)
+        self.stored_at(&Projection {
+            values: key,
+            cols: None,
+        })
+    }
+
+    /// The tuple stored under a borrowed primary key.
+    fn stored_at(&self, key: &dyn KeyView) -> Option<&StoredTuple> {
+        let &slot = self.by_key.get(key)?;
+        Some(self.stored(slot))
+    }
+
+    /// The tuple in a live slot.
+    fn stored(&self, slot: u32) -> &StoredTuple {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("indexed slots are live")
     }
 
     /// Iterate over stored tuples in key order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = &StoredTuple> {
-        self.tuples.values()
+        self.order.values().map(|&slot| self.stored(slot))
     }
 
     /// Iterate over tuples matching equality constraints on the given
     /// columns, visible at or before `seq_limit`.
     ///
     /// This is the residual full-scan path; joins with bound columns should
-    /// go through [`Relation::probe`] instead.
+    /// go through [`Relation::lookup`] instead.
     pub fn scan_match<'r, 'b>(
         &'r self,
         bound: &'b [(usize, Value)],
         seq_limit: u64,
     ) -> impl Iterator<Item = &'r StoredTuple> + use<'r, 'b> {
-        self.tuples.values().filter(move |s| {
+        self.iter().filter(move |s| {
             s.seq <= seq_limit
                 && bound
                     .iter()
@@ -215,87 +302,94 @@ impl Relation {
         })
     }
 
-    /// Ensure a secondary index exists for the given bound-column
-    /// signature, backfilling it from the stored tuples. Returns true if a
-    /// new index was built. Empty signatures (no bound columns) and
-    /// duplicates are ignored.
+    /// Pin the relation to a node: every tuple stored from now on must
+    /// carry `here` in column 0 (debug-asserted on insert). This is true of
+    /// every relation whose first attribute is a location specifier in a
+    /// node engine's store, since a node only stores tuples located at
+    /// itself. Column 0 is then dropped from index signatures — under the
+    /// invariant it splits nothing — and re-checked residually, and a
+    /// lookup bound on column 0 alone walks the relation in primary-key
+    /// order (the same tuples, in the same order, the one bucket of a
+    /// column-0 index held). Already declared indexes are rebuilt under
+    /// the new rule.
+    pub fn set_location(&mut self, here: Value) {
+        debug_assert!(
+            self.iter().all(|s| s.tuple.get(0) == Some(&here)),
+            "{}: stored tuples must carry the pinned location",
+            self.schema.name
+        );
+        let id = intern::intern(&here);
+        self.location = Some((here, id));
+        let declared: Vec<IndexSignature> = self
+            .indexes
+            .drain(..)
+            .map(|ix| ix.signature().clone())
+            .collect();
+        for signature in declared {
+            self.ensure_index(signature.columns());
+        }
+    }
+
+    /// The node address every tuple carries in column 0, if pinned.
+    pub fn location(&self) -> Option<&Value> {
+        self.location.as_ref().map(|(here, _)| here)
+    }
+
+    /// Ensure lookups binding `cols` are served by an index, building and
+    /// backfilling a secondary index if one is needed. Returns true if
+    /// anything was built. Nothing is built for empty signatures, for
+    /// signatures covering an explicit primary key (served by point
+    /// lookups), or for a pinned relation's column 0 (see
+    /// [`Relation::set_location`]); duplicates are ignored.
     pub fn ensure_index(&mut self, cols: &[usize]) -> bool {
-        let signature = IndexSignature::new(cols);
-        if signature.is_empty() || self.indexes.iter().any(|i| i.signature() == &signature) {
+        let mut signature = IndexSignature::new(cols);
+        if signature.is_empty() || self.schema.key_covered_by(signature.columns()) {
+            return false;
+        }
+        if self.location.is_some() && signature.columns()[0] == 0 {
+            signature = IndexSignature::new(&signature.columns()[1..]);
+            if signature.is_empty() {
+                return !std::mem::replace(&mut self.location_walk, true);
+            }
+        }
+        if self.indexes.iter().any(|i| i.signature() == &signature) {
             return false;
         }
         let mut index = SecondaryIndex::new(signature);
-        for (key, stored) in &self.tuples {
+        for (key, &slot) in &self.order {
+            let stored = self.slots[slot as usize]
+                .as_ref()
+                .expect("ordered slots are live");
             intern::intern_all_into(stored.tuple.values(), &mut self.id_scratch);
-            index.add(&self.id_scratch, key.as_slice().into(), stored.seq);
+            index.add(&self.id_scratch, Arc::clone(key), stored.seq, slot);
         }
         self.indexes.push(index);
         true
     }
 
-    /// The bound-column signatures this relation is indexed on.
+    /// The signatures of the secondary indexes this relation materializes.
     pub fn index_signatures(&self) -> impl Iterator<Item = &IndexSignature> {
         self.indexes.iter().map(SecondaryIndex::signature)
     }
 
-    /// Live statistics for every secondary index:
-    /// `(signature, distinct keys, indexed entries)`. Distinct keys is the
-    /// bucket count — the number of different probe-key values currently
-    /// stored — so `entries / distinct` is the average matches per probe,
-    /// the quantity cost-based join ordering ranks plans by.
-    pub fn index_stats(&self) -> impl Iterator<Item = (&IndexSignature, usize, usize)> {
-        self.indexes
-            .iter()
-            .map(|ix| (ix.signature(), ix.bucket_count(), ix.len()))
-    }
-
-    /// Probe the index on `cols` (which must be sorted and deduplicated,
-    /// with `key` holding the bound values in the same order) for tuples
-    /// visible at or before `seq_limit`, in deterministic primary-key
-    /// order.
-    ///
-    /// Returns `None` when no index with that signature exists — the
-    /// caller falls back to [`Relation::scan_match`].
-    pub fn probe<'r, 'b>(
-        &'r self,
-        cols: &[usize],
-        key: &'b [Value],
-        seq_limit: u64,
-    ) -> Option<impl Iterator<Item = &'r StoredTuple> + use<'r, 'b>> {
-        debug_assert!(
-            cols.windows(2).all(|w| w[0] < w[1]),
-            "probe columns must be sorted"
-        );
-        let index = self
-            .indexes
-            .iter()
-            .find(|i| i.signature().columns() == cols)?;
-        Some(index.probe(key).filter_map(move |primary_key| {
-            self.tuples
-                .get(primary_key.as_ref())
-                .filter(|s| s.seq <= seq_limit)
-        }))
-    }
-
-    /// Choose the cheapest declared index that can serve an equality
+    /// Choose the cheapest materialized index that can serve an equality
     /// lookup on `cols`/`key`: among the indexes whose signature is a
     /// subset of the bound columns, pick the most selective one — most
     /// bound columns first, smallest bucket (estimated matches) as the
-    /// tie-breaker. Returns the index together with the probe key
-    /// projected onto its signature. Exact ties (same bound-column count
-    /// *and* same bucket estimate) resolve by signature order — a property
-    /// of the indexes themselves, never of the order they happened to be
-    /// declared in — so the choice is deterministic across engines even
-    /// when construction paths declare the same signatures differently.
+    /// tie-breaker. Exact ties (same bound-column count *and* same bucket
+    /// estimate) resolve by signature order — a property of the indexes
+    /// themselves, never of the order they happened to be declared in — so
+    /// the choice is deterministic across engines even when construction
+    /// paths declare the same signatures differently.
     ///
-    /// This runs once per join environment, so the common case — one
-    /// finalist, usually an exact signature match — is kept allocation-
-    /// light: losing candidates are rejected on signature length alone,
-    /// and probe keys are projected (and bucket sizes hashed) only for the
-    /// finalists with the longest covered signature.
-    fn best_index(&self, cols: &[usize], key: &[Value]) -> Option<(&SecondaryIndex, Vec<Value>)> {
-        // Pass 1 (no allocation): the longest covered signature length and
-        // how many candidates reach it.
+    /// This runs once per join environment, so it allocates nothing:
+    /// losing candidates are rejected on signature length alone, and
+    /// bucket sizes are looked up (with the signature's values picked out
+    /// of `key` in place) only when several finalists share the longest
+    /// covered signature.
+    fn best_index(&self, cols: &[usize], key: &[Value]) -> Option<&SecondaryIndex> {
+        // Pass 1: the longest covered signature length and how many
+        // candidates reach it.
         let mut max_len = 0;
         let mut finalists = 0;
         for index in &self.indexes {
@@ -314,46 +408,54 @@ impl Relation {
         if max_len == 0 {
             return None;
         }
-        // Pass 2: project probe keys for the finalists only; with several,
-        // the smallest bucket wins (signature order breaks exact ties).
-        let mut best: Option<(&SecondaryIndex, Vec<Value>, usize)> = None;
+        // Pass 2: with several finalists, the smallest bucket wins
+        // (signature order breaks exact ties).
+        let mut best: Option<(&SecondaryIndex, usize)> = None;
         for index in &self.indexes {
             let sig = index.signature();
             if sig.columns().len() != max_len || !sig.is_covered_by(cols) {
                 continue;
             }
-            let subkey: Vec<Value> = sig
-                .columns()
-                .iter()
-                .map(|c| {
-                    let pos = cols.binary_search(c).expect("covered signature");
-                    key[pos].clone()
-                })
-                .collect();
             if finalists == 1 {
-                return Some((index, subkey));
+                return Some(index);
             }
-            let bucket = index.bucket_size(&subkey);
+            let bucket = index.bucket_for(cols, key).map_or(0, Bucket::len);
             match &best {
-                Some((current, _, current_bucket))
+                Some((current, current_bucket))
                     if (*current_bucket, current.signature()) <= (bucket, sig) => {}
-                _ => best = Some((index, subkey, bucket)),
+                _ => best = Some((index, bucket)),
             }
         }
-        best.map(|(index, subkey, _)| (index, subkey))
+        best.map(|(index, _)| index)
     }
 
-    /// The single access-path chooser behind every join: a *cost-based*
-    /// choice among the declared indexes. Any index whose signature is a
-    /// subset of `cols` (sorted, with `key` holding the bound values in
-    /// the same order) can serve the lookup; the most selective candidate
-    /// wins (most bound columns, then smallest bucket estimate, then
-    /// signature order — see [`Relation::best_index`]), with the
-    /// signature-leftover columns checked residually on each probed tuple.
-    /// Only when no index covers any bound column does the lookup fall
-    /// back to an equivalent residual scan — `cols` may be empty for a
-    /// genuine cross product. The chosen path and the tuples examined are
-    /// recorded in `stats` up front; iteration is lazy.
+    /// The access path a lookup binding `cols` (sorted) takes; see the
+    /// module docs.
+    fn plan(&self, cols: &[usize], key: &[Value]) -> Plan<'_> {
+        if cols.is_empty() {
+            return Plan::Scan;
+        }
+        if self.schema.key_covered_by(cols) {
+            return Plan::Point;
+        }
+        // A pinned relation's column 0 is not part of any signature.
+        let skip = usize::from(self.location.is_some() && cols[0] == 0);
+        if let Some(index) = self.best_index(&cols[skip..], &key[skip..]) {
+            return Plan::Secondary(index);
+        }
+        if skip == 1 && self.location_walk {
+            Plan::Walk
+        } else {
+            Plan::Scan
+        }
+    }
+
+    /// The single access-path chooser behind every join. `cols` must be
+    /// sorted, with `key` holding the bound values in the same order;
+    /// `cols` may be empty for a genuine cross product. The chosen path
+    /// and the tuples it examines are recorded in `stats` up front;
+    /// iteration is lazy and yields matches in primary-key order whatever
+    /// the path.
     pub fn lookup<'r, 'b>(
         &'r self,
         cols: &'b [usize],
@@ -366,12 +468,30 @@ impl Relation {
 
     /// [`Relation::lookup`] on behalf of `members` binding environments
     /// that share the same probe key — the storage half of key-grouped
-    /// probe sharing ([`crate::batch`]). The bucket is looked up **once**
-    /// (`distinct_probes += 1`) while the per-environment accounting is
-    /// preserved via the multiplier (`logical_probes`/`scans` and
-    /// `tuples_examined` grow by `members`× exactly as `members` separate
-    /// [`Relation::lookup`] calls would), so grouped and ungrouped
-    /// evaluation report identical logical counters.
+    /// probe sharing ([`crate::batch`]). The access path runs **once**
+    /// while the per-environment accounting is preserved via the
+    /// multiplier, so grouped and ungrouped evaluation report identical
+    /// logical counters. Per path:
+    ///
+    /// * **point** (the bound columns cover the explicit primary key): one
+    ///   probe; the tuple stored under the key, if any, counts as examined
+    ///   *before* the visibility and residual filters — the grouped batch
+    ///   path looks up with no visibility limit and filters per member
+    ///   afterwards, so the count must not depend on `seq_limit`;
+    /// * **location walk** (a pinned relation bound on column 0 alone, with
+    ///   a column-0 signature declared): one probe examining the whole
+    ///   relation — exactly what the column-0 index's single bucket held;
+    /// * **secondary** (the best covering index, see
+    ///   [`Relation::best_index`]): one probe examining the bucket, the
+    ///   bound columns the signature leaves out (column 0 of a pinned
+    ///   relation among them) checked per candidate against the bucket's
+    ///   dense id columns;
+    /// * **scan**: one scan examining the whole relation.
+    ///
+    /// `distinct_probes` grows by one per call on every probe path;
+    /// `logical_probes` (or `scans`) and `tuples_examined` grow by
+    /// `members`× exactly as `members` separate [`Relation::lookup`] calls
+    /// would.
     pub fn lookup_n<'r, 'b>(
         &'r self,
         cols: &'b [usize],
@@ -381,55 +501,53 @@ impl Relation {
         stats: &mut JoinStats,
     ) -> impl Iterator<Item = &'r StoredTuple> + use<'r, 'b> {
         debug_assert!(members >= 1, "a lookup serves at least one environment");
-        let index = if cols.is_empty() {
-            None
-        } else {
-            self.best_index(cols, key)
-        };
-        match index {
-            Some((index, subkey)) => {
-                let bucket = index.bucket(&subkey);
-                stats.logical_probes += members;
-                stats.distinct_probes += 1;
+        debug_assert!(
+            cols.windows(2).all(|w| w[0] < w[1]),
+            "lookup columns must be sorted"
+        );
+        let bound = Bound { cols, key };
+        let plan = self.plan(cols, key);
+        if !matches!(plan, Plan::Scan) {
+            stats.logical_probes += members;
+            stats.distinct_probes += 1;
+        }
+        match plan {
+            Plan::Point => {
+                let want = &self.schema.key_columns;
+                let stored = self.stored_at(&Picked { cols, key, want });
+                stats.tuples_examined += usize::from(stored.is_some()) * members;
+                Access::Point(stored.filter(|s| s.seq <= seq_limit && bound.matches(&s.tuple)))
+            }
+            Plan::Secondary(index) => {
+                let bucket = index.bucket_for(cols, key);
                 stats.tuples_examined += bucket.map_or(0, Bucket::len) * members;
-                // Bound columns the chosen signature does not cover are
-                // enforced residually (empty for an exact-signature match).
-                // The residual column set is projected once per lookup —
-                // borrowing the caller's key values — never per candidate,
-                // and compiled to dense id comparisons when the bucket is
-                // columnar.
-                let residual: Vec<(usize, &Value)> = cols
-                    .iter()
-                    .copied()
-                    .zip(key.iter())
-                    .filter(|(c, _)| !index.signature().columns().contains(c))
-                    .collect();
-                let (bucket, check) = compile_residual(bucket, residual);
-                AccessPath::Probe(ProbeIter {
-                    tuples: &self.tuples,
+                let (bucket, residual) =
+                    compile_residual(bucket, index.signature(), bound, self.location.as_ref());
+                Access::Probe(ProbeIter {
+                    relation: self,
                     bucket,
                     pos: 0,
                     seq_limit,
-                    check,
+                    residual,
                 })
             }
-            None => {
-                stats.scans += members;
+            Plan::Walk | Plan::Scan => {
+                if matches!(plan, Plan::Scan) {
+                    stats.scans += members;
+                }
                 stats.tuples_examined += self.len() * members;
-                let bound: Vec<(usize, &Value)> = cols.iter().copied().zip(key.iter()).collect();
-                AccessPath::Scan(self.tuples.values().filter(move |s| {
-                    s.seq <= seq_limit
-                        && bound
-                            .iter()
-                            .all(|(col, val)| s.tuple.get(*col) == Some(val))
-                }))
+                Access::Filter {
+                    relation: self,
+                    order: self.order.values(),
+                    seq_limit,
+                    bound,
+                }
             }
         }
     }
 
     /// Existence variant of [`Relation::lookup`]: whether any tuple visible
-    /// at or before `seq_limit` matches the equality constraints, via an
-    /// index probe when the signature is declared.
+    /// at or before `seq_limit` matches the equality constraints.
     pub fn contains_match(&self, cols: &[usize], key: &[Value], seq_limit: u64) -> bool {
         self.lookup(cols, key, seq_limit, &mut JoinStats::default())
             .next()
@@ -444,25 +562,22 @@ impl Relation {
 
     /// Register a newly stored tuple in every index. The tuple's columns
     /// are interned once (into the reusable scratch) and the ids shared by
-    /// every index's columnar bucket; the primary key is allocated as one
-    /// shared `Arc` and reference-bumped per index.
-    fn index_add(&mut self, key: &[Value], tuple: &Tuple, seq: u64) {
+    /// every index's bucket; the primary key is the relation's own shared
+    /// allocation, reference-bumped per index.
+    fn index_add(&mut self, key: &Arc<[Value]>, tuple: &Tuple, seq: u64, slot: u32) {
         if self.indexes.is_empty() {
             return;
         }
-        let shared: Arc<[Value]> = key.into();
         intern::intern_all_into(tuple.values(), &mut self.id_scratch);
         for index in &mut self.indexes {
-            index.add(&self.id_scratch, Arc::clone(&shared), seq);
+            index.add(&self.id_scratch, Arc::clone(key), seq, slot);
         }
     }
 
     /// Remove a no-longer-stored tuple from every index.
     fn index_remove(&mut self, key: &[Value], tuple: &Tuple) {
         for index in &mut self.indexes {
-            if let Some(projection) = project_checked(tuple, index.signature().columns()) {
-                index.remove(&projection, key);
-            }
+            index.remove(tuple.values(), key);
         }
     }
 
@@ -471,179 +586,276 @@ impl Relation {
     /// `seq` is the timestamp to assign if the tuple is new; `expires_at`
     /// the absolute expiry time for soft-state relations (ignored for hard
     /// state). Re-inserting an identical tuple refreshes its expiry —
-    /// exactly the soft-state refresh behaviour of Section 4.2.
+    /// exactly the soft-state refresh behaviour of Section 4.2. Only a
+    /// new key allocates.
     pub fn insert(&mut self, tuple: Tuple, seq: u64, now_micros: u64) -> InsertOutcome {
-        let key = self.schema.key_of(&tuple);
+        debug_assert!(
+            self.location
+                .as_ref()
+                .is_none_or(|(here, _)| tuple.get(0) == Some(here)),
+            "{}{tuple} stored away from its pinned location",
+            self.schema.name
+        );
         let expires_at = self.schema.ttl_micros.map(|ttl| now_micros + ttl);
-        // Single keyed lookup; tuple clones below are cheap (Arc bump).
-        let replaced = match self.tuples.get_mut(&key) {
-            Some(existing) if existing.tuple == tuple => {
-                // Duplicate derivation: count bump and soft-state refresh,
-                // indexes untouched.
-                existing.count += 1;
-                if expires_at.is_some() {
-                    existing.expires_at = expires_at;
+        let found = self
+            .by_key
+            .get(&self.schema.key_view(&tuple) as &dyn KeyView)
+            .copied();
+        let Some(slot) = found else {
+            let key = self.schema.shared_key(&tuple);
+            let slot = match self.free.pop() {
+                Some(slot) => slot,
+                None => {
+                    self.slots.push(None);
+                    u32::try_from(self.slots.len() - 1).expect("slot count fits u32")
                 }
-                return InsertOutcome::Duplicate;
-            }
-            Some(existing) => {
-                // Primary-key replacement, in place.
-                self.lossy_replacements += existing.count;
-                let old = std::mem::replace(&mut existing.tuple, tuple.clone());
-                existing.count = 1;
-                existing.seq = seq;
-                existing.expires_at = expires_at;
-                Some(old)
-            }
-            None => None,
+            };
+            self.index_add(&key, &tuple, seq, slot);
+            self.slots[slot as usize] = Some(StoredTuple {
+                tuple,
+                count: 1,
+                seq,
+                expires_at,
+            });
+            self.order.insert(Arc::clone(&key), slot);
+            self.by_key.insert(ValueKey(key), slot);
+            return InsertOutcome::New;
         };
-        match replaced {
-            Some(old) => {
-                self.index_remove(&key, &old);
-                self.index_add(&key, &tuple, seq);
-                InsertOutcome::Replaced(old)
+        let existing = self.slots[slot as usize]
+            .as_mut()
+            .expect("indexed slots are live");
+        if existing.tuple == tuple {
+            // Duplicate derivation: count bump and soft-state refresh,
+            // indexes untouched.
+            existing.count += 1;
+            if expires_at.is_some() {
+                existing.expires_at = expires_at;
             }
-            None => {
-                self.index_add(&key, &tuple, seq);
-                self.tuples.insert(
-                    key,
-                    StoredTuple {
-                        tuple,
-                        count: 1,
-                        seq,
-                        expires_at,
-                    },
-                );
-                InsertOutcome::New
-            }
+            return InsertOutcome::Duplicate;
         }
+        // Primary-key replacement, in place (the slot stays).
+        self.lossy_replacements += existing.count;
+        let old = std::mem::replace(&mut existing.tuple, tuple.clone());
+        existing.count = 1;
+        existing.seq = seq;
+        existing.expires_at = expires_at;
+        let (key, _) = self
+            .by_key
+            .get_key_value(&self.schema.key_view(&tuple) as &dyn KeyView)
+            .expect("replaced in place");
+        let key = Arc::clone(&key.0);
+        self.index_remove(&key, &old);
+        self.index_add(&key, &tuple, seq, slot);
+        InsertOutcome::Replaced(old)
+    }
+
+    /// The slot holding exactly `tuple` (same key and same values).
+    fn slot_of(&self, tuple: &Tuple) -> Option<u32> {
+        let &slot = self
+            .by_key
+            .get(&self.schema.key_view(tuple) as &dyn KeyView)?;
+        (&self.stored(slot).tuple == tuple).then_some(slot)
+    }
+
+    /// Take a tuple out of its slot, its key maps and every index.
+    fn vacate(&mut self, slot: u32) -> StoredTuple {
+        let stored = self.slots[slot as usize]
+            .take()
+            .expect("indexed slots are live");
+        let (ValueKey(key), _) = self
+            .by_key
+            .remove_entry(&self.schema.key_view(&stored.tuple) as &dyn KeyView)
+            .expect("stored tuples are keyed");
+        self.order.remove(&key);
+        self.index_remove(&key, &stored.tuple);
+        self.free.push(slot);
+        stored
     }
 
     /// Delete (one derivation of) a tuple.
     pub fn delete(&mut self, tuple: &Tuple) -> DeleteOutcome {
-        let key = self.schema.key_of(tuple);
-        let outcome = match self.tuples.get_mut(&key) {
-            Some(existing) if &existing.tuple == tuple => {
-                if existing.count > 1 {
-                    existing.count -= 1;
-                    DeleteOutcome::Decremented
-                } else {
-                    self.tuples.remove(&key);
-                    DeleteOutcome::Removed
-                }
-            }
-            _ => DeleteOutcome::NotFound,
+        let Some(slot) = self.slot_of(tuple) else {
+            return DeleteOutcome::NotFound;
         };
-        if outcome == DeleteOutcome::Removed {
-            self.index_remove(&key, tuple);
+        let existing = self.slots[slot as usize].as_mut().expect("live slot");
+        if existing.count > 1 {
+            existing.count -= 1;
+            return DeleteOutcome::Decremented;
         }
-        outcome
+        self.vacate(slot);
+        DeleteOutcome::Removed
     }
 
     /// Remove a tuple outright regardless of its derivation count (used
     /// when a primary-key replacement cascades).
     pub fn remove(&mut self, tuple: &Tuple) -> bool {
-        let key = self.schema.key_of(tuple);
-        match self.tuples.get(&key) {
-            Some(existing) if &existing.tuple == tuple => {
-                self.tuples.remove(&key);
-                self.index_remove(&key, tuple);
-                true
-            }
-            _ => false,
-        }
+        let Some(slot) = self.slot_of(tuple) else {
+            return false;
+        };
+        self.vacate(slot);
+        true
     }
 
     /// Remove all tuples whose soft-state lifetime has elapsed, returning
-    /// them.
+    /// them in key order. Hard-state relations return at once, without
+    /// walking their tuples.
     pub fn expire(&mut self, now_micros: u64) -> Vec<Tuple> {
-        let expired: Vec<Vec<Value>> = self
-            .tuples
-            .iter()
-            .filter(|(_, s)| s.expires_at.is_some_and(|t| t <= now_micros))
-            .map(|(k, _)| k.clone())
-            .collect();
-        let mut out = Vec::with_capacity(expired.len());
-        for key in expired {
-            if let Some(stored) = self.tuples.remove(&key) {
-                self.index_remove(&key, &stored.tuple);
-                out.push(stored.tuple);
-            }
+        if self.schema.ttl_micros.is_none() {
+            return Vec::new();
         }
-        out
+        let expired: Vec<u32> = self
+            .order
+            .values()
+            .copied()
+            .filter(|&slot| {
+                self.stored(slot)
+                    .expires_at
+                    .is_some_and(|t| t <= now_micros)
+            })
+            .collect();
+        expired
+            .into_iter()
+            .map(|slot| self.vacate(slot).tuple)
+            .collect()
+    }
+
+    /// Drop every stored tuple, keeping the schema, the location pin and
+    /// the declared indexes (emptied).
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+        self.order.clear();
+        self.by_key.clear();
+        for index in &mut self.indexes {
+            index.clear();
+        }
+        self.lossy_replacements = 0;
     }
 }
 
-/// Two-armed iterator behind [`Relation::lookup`]: an index probe or a
-/// residual scan, chosen once per lookup.
-enum AccessPath<'r, 'b, S> {
-    Probe(ProbeIter<'r, 'b>),
-    Scan(S),
+/// The access path of one lookup, chosen by [`Relation::plan`].
+enum Plan<'r> {
+    Point,
+    Walk,
+    Secondary(&'r SecondaryIndex),
+    Scan,
 }
 
-impl<'r, 'b, S> Iterator for AccessPath<'r, 'b, S>
-where
-    S: Iterator<Item = &'r StoredTuple>,
-{
+/// A lookup's bound columns (sorted) and their parallel values.
+#[derive(Clone, Copy)]
+struct Bound<'b> {
+    cols: &'b [usize],
+    key: &'b [Value],
+}
+
+impl Bound<'_> {
+    /// Whether `tuple` carries every bound value.
+    fn matches(&self, tuple: &Tuple) -> bool {
+        self.cols
+            .iter()
+            .zip(self.key)
+            .all(|(&col, val)| tuple.get(col) == Some(val))
+    }
+}
+
+/// The iterator behind [`Relation::lookup_n`], one arm per path family.
+enum Access<'r, 'b> {
+    /// The point lookup's single (already filtered) match.
+    Point(Option<&'r StoredTuple>),
+    /// A bucket walk.
+    Probe(ProbeIter<'r, 'b>),
+    /// A walk over the whole relation in key order (location walk or
+    /// scan).
+    Filter {
+        relation: &'r Relation,
+        order: btree_map::Values<'r, Arc<[Value]>, u32>,
+        seq_limit: u64,
+        bound: Bound<'b>,
+    },
+}
+
+impl<'r> Iterator for Access<'r, '_> {
     type Item = &'r StoredTuple;
     fn next(&mut self) -> Option<&'r StoredTuple> {
         match self {
-            AccessPath::Probe(p) => p.next(),
-            AccessPath::Scan(s) => s.next(),
+            Access::Point(hit) => hit.take(),
+            Access::Probe(p) => p.next(),
+            Access::Filter {
+                relation,
+                order,
+                seq_limit,
+                bound,
+            } => order
+                .map(|&slot| relation.stored(slot))
+                .find(|s| s.seq <= *seq_limit && bound.matches(&s.tuple)),
         }
     }
 }
 
-/// How residual bound columns are enforced while walking a bucket.
+/// Residual columns compiled to dense id comparisons, held inline.
+const INLINE_RESIDUALS: usize = 4;
+
+/// How the bound columns a probed signature leaves out are enforced while
+/// walking its bucket.
 enum Residual<'b> {
-    /// Dense comparison against the bucket's columnar `ValueId` arrays.
-    Ids(Vec<(usize, ValueId)>),
-    /// Value comparison against the materialized tuple (degraded bucket).
-    Values(Vec<(usize, &'b Value)>),
+    /// Id comparison against the bucket's dense `ValueId` rows.
+    Ids([Option<(usize, ValueId)>; INLINE_RESIDUALS]),
+    /// Value comparison of every bound column against the materialized
+    /// tuple (degraded buckets, or more residual columns than fit inline).
+    Values(Bound<'b>),
 }
 
 /// Compile the residual column set against the bucket's layout. Returns
 /// `(None, _)` when no candidate can possibly match: a residual value that
-/// was never interned cannot equal any value stored in a columnar bucket
+/// was never interned cannot equal any value stored in a bucket with ids
 /// (every stored column is interned on insert), and a residual column
-/// beyond the bucket's uniform arity matches nothing either.
+/// beyond the bucket's uniform arity matches nothing either. A pinned
+/// relation's location resolves to its cached id without touching the
+/// interner.
 fn compile_residual<'r, 'b>(
     bucket: Option<&'r Bucket>,
-    residual: Vec<(usize, &'b Value)>,
+    signature: &IndexSignature,
+    bound: Bound<'b>,
+    location: Option<&(Value, ValueId)>,
 ) -> (Option<&'r Bucket>, Residual<'b>) {
-    match bucket {
-        Some(b) if b.is_columnar() && !residual.is_empty() => {
-            let mut ids = Vec::with_capacity(residual.len());
-            for (c, v) in &residual {
-                let resolved = if *c < b.arity() {
-                    intern::lookup(v)
-                } else {
-                    None
-                };
-                match resolved {
-                    Some(id) => ids.push((*c, id)),
-                    None => return (None, Residual::Ids(Vec::new())),
-                }
-            }
-            (Some(b), Residual::Ids(ids))
+    let Some(b) = bucket.filter(|b| b.has_ids()) else {
+        return (bucket, Residual::Values(bound));
+    };
+    let mut ids = [None; INLINE_RESIDUALS];
+    let leftover = bound
+        .cols
+        .iter()
+        .zip(bound.key)
+        .filter(|(c, _)| signature.columns().binary_search(c).is_err());
+    for (slot, (&c, v)) in leftover.enumerate() {
+        if slot == INLINE_RESIDUALS {
+            return (Some(b), Residual::Values(bound));
         }
-        Some(b) if b.is_columnar() => (Some(b), Residual::Ids(Vec::new())),
-        other => (other, Residual::Values(residual)),
+        let resolved = match location {
+            _ if c >= b.arity() => None,
+            Some((here, id)) if c == 0 && here == v => Some(*id),
+            _ => intern::lookup(v),
+        };
+        match resolved {
+            Some(id) => ids[slot] = Some((c, id)),
+            None => return (None, Residual::Ids(ids)),
+        }
     }
+    (Some(b), Residual::Ids(ids))
 }
 
-/// The probe arm of [`AccessPath`]: walk the bucket's dense seq/id arrays,
-/// materializing (via the shared primary key) only the candidates that
+/// The bucket arm of [`Access`]: walk the bucket's dense seq/id arrays,
+/// materializing (through the member's slot) only the candidates that
 /// survive visibility and residual filtering.
 struct ProbeIter<'r, 'b> {
-    tuples: &'r BTreeMap<Vec<Value>, StoredTuple>,
+    relation: &'r Relation,
     bucket: Option<&'r Bucket>,
     pos: usize,
     seq_limit: u64,
-    check: Residual<'b>,
+    residual: Residual<'b>,
 }
 
-impl<'r, 'b> Iterator for ProbeIter<'r, 'b> {
+impl<'r> Iterator for ProbeIter<'r, '_> {
     type Item = &'r StoredTuple;
     fn next(&mut self) -> Option<&'r StoredTuple> {
         let bucket = self.bucket?;
@@ -653,39 +865,21 @@ impl<'r, 'b> Iterator for ProbeIter<'r, 'b> {
             if bucket.seq(i) > self.seq_limit {
                 continue;
             }
-            match &self.check {
-                Residual::Ids(ids) => {
-                    if ids
-                        .iter()
-                        .all(|&(c, id)| bucket.column(c).is_some_and(|col| col[i] == id))
-                    {
-                        if let Some(stored) = self.tuples.get(bucket.key(i).as_ref()) {
-                            return Some(stored);
-                        }
-                    }
+            let matched = match &self.residual {
+                Residual::Ids(ids) => ids
+                    .iter()
+                    .map_while(|r| *r)
+                    .all(|(c, id)| bucket.id(i, c) == Some(id)),
+                Residual::Values(bound) => {
+                    bound.matches(&self.relation.stored(bucket.slot(i)).tuple)
                 }
-                Residual::Values(vals) => {
-                    if let Some(stored) = self.tuples.get(bucket.key(i).as_ref()) {
-                        if vals.iter().all(|(c, v)| stored.tuple.get(*c) == Some(*v)) {
-                            return Some(stored);
-                        }
-                    }
-                }
+            };
+            if matched {
+                return Some(self.relation.stored(bucket.slot(i)));
             }
         }
         None
     }
-}
-
-/// Project a tuple onto index columns (borrowed — the values are already
-/// interned, never cloned), returning `None` if any column is out of
-/// range (possible when heterogeneous arities share a relation name in
-/// hand-built test stores; such tuples simply stay unindexed and
-/// unreachable by probes on that signature).
-fn project_checked<'t>(tuple: &'t Tuple, cols: &[usize]) -> Option<Vec<&'t Value>> {
-    cols.iter()
-        .map(|&c| tuple.get(c))
-        .collect::<Option<Vec<&Value>>>()
 }
 
 #[cfg(test)]
@@ -849,12 +1043,16 @@ mod tests {
         assert!(r.expire(u64::MAX).is_empty());
     }
 
+    /// Look up through an index (asserting the lookup did not scan).
     fn probed(r: &Relation, cols: &[usize], key: &[i64], seq_limit: u64) -> Vec<Tuple> {
         let key: Vec<Value> = key.iter().map(|&v| Value::Int(v)).collect();
-        r.probe(cols, &key, seq_limit)
-            .expect("index exists")
+        let mut stats = JoinStats::default();
+        let hits = r
+            .lookup(cols, &key, seq_limit, &mut stats)
             .map(|s| s.tuple.clone())
-            .collect()
+            .collect();
+        assert_eq!(stats.logical_probes, 1, "served by an index");
+        hits
     }
 
     #[test]
@@ -873,8 +1071,11 @@ mod tests {
         assert_eq!(scanned.len(), 3);
         // Probes respect the PSN visibility limit like scans do.
         assert_eq!(probed(&r, &[1], &[2], 3).len(), 1);
-        // Missing signature returns None so callers can fall back.
-        assert!(r.probe(&[0], &[Value::Int(1)], u64::MAX).is_none());
+        // An undeclared signature falls back to a scan.
+        let mut stats = JoinStats::default();
+        let hits = r.lookup(&[0], &[Value::Int(1)], u64::MAX, &mut stats);
+        assert_eq!(hits.count(), 1);
+        assert_eq!(stats.scans, 1);
     }
 
     #[test]
@@ -1044,7 +1245,7 @@ mod tests {
         };
         let key = [Value::Int(1), Value::Int(1)];
         for r in [build(0, 1), build(1, 0)] {
-            let (chosen, _) = r.best_index(&[0, 1], &key).expect("candidates exist");
+            let chosen = r.best_index(&[0, 1], &key).expect("candidates exist");
             assert_eq!(
                 chosen.signature().columns(),
                 &[0],

@@ -3,8 +3,9 @@
 
 use crate::relation::{DeleteOutcome, InsertOutcome, Relation, RelationSchema};
 use crate::tuple::{Sign, Tuple, TupleDelta};
-use ndlog_lang::Program;
-use std::collections::BTreeMap;
+use ndlog_lang::{Program, Term, Value};
+use ndlog_net::NodeAddr;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A collection of named relations plus the node-local timestamp counter
 /// used by pipelined semi-naive evaluation.
@@ -15,16 +16,50 @@ pub struct Store {
     now_micros: u64,
 }
 
-/// The effect of applying a delta to the store: the deltas that should be
-/// propagated further (possibly empty), plus the timestamp assigned to the
-/// applied tuple (used as the join visibility limit when firing strands).
+/// The effect of applying a delta to the store: what the store did with
+/// it, plus the timestamp assigned to the applied tuple (used as the join
+/// visibility limit when firing strands).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApplyEffect {
-    /// Deltas to propagate (e.g. a primary-key replacement propagates a
-    /// deletion of the old tuple and an insertion of the new one).
-    pub propagate: Vec<TupleDelta>,
+    /// What the store did with the delta.
+    pub outcome: Applied,
     /// The timestamp of the applied tuple.
     pub seq: u64,
+}
+
+/// What [`Store::apply`] did with a delta. The store never copies the
+/// delta: the caller still owns it and propagates it as the outcome says.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Applied {
+    /// The delta changed visibility (a new tuple, or the last derivation
+    /// removed): propagate the delta itself.
+    Changed,
+    /// A duplicate derivation, a count decrement or a stale deletion:
+    /// nothing to propagate (this is how the count algorithm suppresses
+    /// redundant downstream work).
+    Absorbed,
+    /// A primary-key replacement: propagate a deletion of this old tuple,
+    /// then the delta's insertion.
+    Replaced(Tuple),
+}
+
+impl ApplyEffect {
+    /// Whether the delta was absorbed.
+    pub fn is_absorbed(&self) -> bool {
+        self.outcome == Applied::Absorbed
+    }
+
+    /// The deltas to propagate, in order, built around the applied delta
+    /// (moved in, not copied).
+    pub fn into_propagation(self, delta: TupleDelta) -> Vec<TupleDelta> {
+        match self.outcome {
+            Applied::Changed => vec![delta],
+            Applied::Absorbed => Vec::new(),
+            Applied::Replaced(old) => {
+                vec![TupleDelta::delete(delta.relation.clone(), old), delta]
+            }
+        }
+    }
 }
 
 impl Store {
@@ -155,51 +190,39 @@ impl Store {
 
     /// Apply a signed delta to the store, creating the relation on demand.
     ///
-    /// Returns the deltas to propagate further (empty for duplicate
-    /// derivations and stale deletions — that is how the count algorithm
-    /// suppresses redundant downstream work) plus the timestamp to use as
-    /// the join visibility limit when firing strands off this delta.
+    /// Returns what to propagate further (see [`Applied`]) plus the
+    /// timestamp to use as the join visibility limit when firing strands
+    /// off this delta. Applying a delta to an existing relation allocates
+    /// only for a new primary key.
     pub fn apply(&mut self, delta: &TupleDelta) -> ApplyEffect {
         let now = self.now_micros;
         let seq = self.fresh_seq();
+        // Looked up by the borrowed name: only a relation's first delta
+        // allocates its name.
+        if !self.relations.contains_key(&delta.relation) {
+            self.ensure(RelationSchema::new(delta.relation.clone()));
+        }
         let relation = self
             .relations
-            .entry(delta.relation.clone())
-            .or_insert_with(|| Relation::new(RelationSchema::new(delta.relation.clone())));
-        match delta.sign {
+            .get_mut(&delta.relation)
+            .expect("ensured above");
+        let outcome = match delta.sign {
             Sign::Insert => match relation.insert(delta.tuple.clone(), seq, now) {
-                InsertOutcome::New => ApplyEffect {
-                    propagate: vec![delta.clone()],
-                    seq,
-                },
-                InsertOutcome::Duplicate => ApplyEffect {
-                    propagate: Vec::new(),
-                    seq,
-                },
-                InsertOutcome::Replaced(old) => ApplyEffect {
-                    propagate: vec![
-                        TupleDelta::delete(delta.relation.clone(), old),
-                        delta.clone(),
-                    ],
-                    seq,
-                },
+                InsertOutcome::New => Applied::Changed,
+                InsertOutcome::Duplicate => Applied::Absorbed,
+                InsertOutcome::Replaced(old) => Applied::Replaced(old),
             },
             Sign::Delete => match relation.delete(&delta.tuple) {
-                DeleteOutcome::Removed => ApplyEffect {
-                    propagate: vec![delta.clone()],
-                    seq,
-                },
-                DeleteOutcome::Decremented | DeleteOutcome::NotFound => ApplyEffect {
-                    propagate: Vec::new(),
-                    seq,
-                },
+                DeleteOutcome::Removed => Applied::Changed,
+                DeleteOutcome::Decremented | DeleteOutcome::NotFound => Applied::Absorbed,
             },
-        }
+        };
+        ApplyEffect { outcome, seq }
     }
 
     /// Expire soft-state tuples across all relations, returning the
     /// corresponding deletion deltas (to be propagated like any other
-    /// deletion).
+    /// deletion). Hard-state relations are skipped without a walk.
     pub fn expire(&mut self, now_micros: u64) -> Vec<TupleDelta> {
         self.set_time(now_micros);
         let mut out = Vec::new();
@@ -219,16 +242,18 @@ impl Store {
     /// ones.
     pub fn clear_tuples(&mut self) {
         for rel in self.relations.values_mut() {
-            let schema = rel.schema().clone();
-            let signatures: Vec<Vec<usize>> = rel
-                .index_signatures()
-                .map(|sig| sig.columns().to_vec())
-                .collect();
-            let mut fresh = Relation::new(schema);
-            for cols in &signatures {
-                fresh.ensure_index(cols);
-            }
-            *rel = fresh;
+            rel.clear();
+        }
+    }
+
+    /// Pin this store to node `here`: every relation in `located` (see
+    /// [`located_relations`]) stores only tuples located at `here`, so its
+    /// indexes drop column 0 (see [`Relation::set_location`]). Call before
+    /// declaring indexes; relations are created as needed.
+    pub fn set_location(&mut self, here: NodeAddr, located: &BTreeSet<String>) {
+        for name in located {
+            self.ensure(RelationSchema::new(name.clone()))
+                .set_location(Value::Addr(here));
         }
     }
 
@@ -245,6 +270,33 @@ impl Store {
     pub fn count(&self, relation: &str) -> usize {
         self.relations.get(relation).map_or(0, Relation::len)
     }
+}
+
+/// The relations whose first attribute is a location specifier in every
+/// program that mentions them: every atom of the relation, head or body,
+/// starts with an address variable (`@X`) or an address constant. A node
+/// engine only stores tuples of such a relation that are located at the
+/// node itself.
+pub fn located_relations<'a>(programs: impl IntoIterator<Item = &'a Program>) -> BTreeSet<String> {
+    let mut located = BTreeSet::new();
+    let mut unlocated = BTreeSet::new();
+    for program in programs {
+        for rule in &program.rules {
+            for atom in std::iter::once(&rule.head).chain(rule.body_atoms()) {
+                let pinned = match atom.args.first() {
+                    Some(Term::Var(v)) => v.located,
+                    Some(Term::Const(c)) => c.is_addr(),
+                    _ => false,
+                };
+                if pinned {
+                    located.insert(atom.name.clone());
+                } else {
+                    unlocated.insert(atom.name.clone());
+                }
+            }
+        }
+    }
+    &located - &unlocated
 }
 
 /// The columns an over-deleted tuple's primary key binds: the declared key
@@ -285,16 +337,16 @@ mod tests {
         let mut store = Store::new();
         let d = TupleDelta::insert("r", t(&[1, 2]));
         let e1 = store.apply(&d);
-        assert_eq!(e1.propagate, vec![d.clone()]);
+        assert_eq!(e1.outcome, Applied::Changed);
         let e2 = store.apply(&d);
-        assert!(e2.propagate.is_empty(), "duplicate derivation is absorbed");
+        assert!(e2.is_absorbed(), "duplicate derivation is absorbed");
         assert!(e2.seq > e1.seq);
 
         let del = TupleDelta::delete("r", t(&[1, 2]));
         let e3 = store.apply(&del);
-        assert!(e3.propagate.is_empty(), "count drops from 2 to 1");
+        assert!(e3.is_absorbed(), "count drops from 2 to 1");
         let e4 = store.apply(&del);
-        assert_eq!(e4.propagate, vec![del.clone()]);
+        assert_eq!(e4.into_propagation(del.clone()), vec![del.clone()]);
         assert_eq!(store.count("r"), 0);
     }
 
@@ -303,10 +355,11 @@ mod tests {
         let mut store = Store::new();
         store.ensure(RelationSchema::new("best").with_keys(vec![0]));
         store.apply(&TupleDelta::insert("best", t(&[1, 10])));
-        let effect = store.apply(&TupleDelta::insert("best", t(&[1, 5])));
-        assert_eq!(effect.propagate.len(), 2);
-        assert_eq!(effect.propagate[0], TupleDelta::delete("best", t(&[1, 10])));
-        assert_eq!(effect.propagate[1], TupleDelta::insert("best", t(&[1, 5])));
+        let insert = TupleDelta::insert("best", t(&[1, 5]));
+        let propagate = store.apply(&insert).into_propagation(insert.clone());
+        assert_eq!(propagate.len(), 2);
+        assert_eq!(propagate[0], TupleDelta::delete("best", t(&[1, 10])));
+        assert_eq!(propagate[1], insert);
         assert_eq!(store.tuples("best"), vec![t(&[1, 5])]);
     }
 
@@ -314,7 +367,7 @@ mod tests {
     fn deleting_missing_tuple_is_silent() {
         let mut store = Store::new();
         let e = store.apply(&TupleDelta::delete("r", t(&[9])));
-        assert!(e.propagate.is_empty());
+        assert!(e.is_absorbed());
     }
 
     #[test]
@@ -335,6 +388,30 @@ mod tests {
         store.set_time(100);
         store.set_time(50);
         assert_eq!(store.now_micros(), 100);
+    }
+
+    #[test]
+    fn only_relations_located_everywhere_are_pinned() {
+        let program = ndlog_lang::parse_program(
+            r#"
+            r1 reach(@S, @D) :- link(@S, @D).
+            r2 reach(@S, @D) :- link(@S, @Z), reach(@Z, @D).
+            r3 count(@S, N) :- tally(S, N), link(@S, @D).
+            r4 mixed(@S) :- link(@S, @D).
+            r5 mixed(S) :- tally(S, _).
+            "#,
+        )
+        .unwrap();
+        let located = located_relations([&program]);
+        let names: Vec<&str> = located.iter().map(String::as_str).collect();
+        assert_eq!(names, vec!["count", "link", "reach"]);
+
+        let mut store = Store::for_program(&program);
+        store.set_location(NodeAddr(7), &located);
+        let here = Value::addr(7u32);
+        assert_eq!(store.relation("link").unwrap().location(), Some(&here));
+        assert_eq!(store.relation("tally").unwrap().location(), None);
+        assert_eq!(store.relation("mixed").unwrap().location(), None);
     }
 
     #[test]

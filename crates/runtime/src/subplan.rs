@@ -27,11 +27,12 @@
 //! the (fixed) strand firing order, never on hash-map iteration order, so
 //! armed runs stay bitwise deterministic across executor thread counts.
 
+use crate::hash::FxHashMap;
 use crate::index::JoinStats;
 use crate::relation::{Relation, StoredTuple};
 use crate::strand::CompiledStrand;
 use ndlog_lang::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// The probe signatures worth caching: every `(relation, bound-column
 /// signature)` probed by two or more of the given strands' stages (or
@@ -67,22 +68,23 @@ struct CachedProbe<'r> {
 /// to [`CompiledStrand::fire_batch_shared`] for every strand fired in the
 /// round.
 pub struct ProbeCache<'r> {
-    /// The armed signatures, from [`shared_signatures`]. Probes outside
-    /// this list bypass the cache entirely (linear scan: the list is a
-    /// handful of entries and the comparison allocates nothing).
-    sigs: Vec<(String, Vec<usize>)>,
+    /// The armed signatures, from [`shared_signatures`] (borrowed from
+    /// the engine, which computes them once). Probes outside this list
+    /// bypass the cache entirely (linear scan: the list is a handful of
+    /// entries and the comparison allocates nothing).
+    sigs: &'r [(String, Vec<usize>)],
     /// Per signature: probe key → cached candidates.
-    entries: Vec<HashMap<Box<[Value]>, CachedProbe<'r>>>,
+    entries: Vec<FxHashMap<Box<[Value]>, CachedProbe<'r>>>,
     hits: usize,
     misses: usize,
 }
 
 impl<'r> ProbeCache<'r> {
     /// A cache armed for the given shared signatures.
-    pub fn new(shared: &[(String, Vec<usize>)]) -> ProbeCache<'r> {
+    pub fn new(shared: &'r [(String, Vec<usize>)]) -> ProbeCache<'r> {
         ProbeCache {
-            sigs: shared.to_vec(),
-            entries: (0..shared.len()).map(|_| HashMap::new()).collect(),
+            sigs: shared,
+            entries: (0..shared.len()).map(|_| FxHashMap::default()).collect(),
             hits: 0,
             misses: 0,
         }
