@@ -5,7 +5,7 @@
 //! cargo run --release -p ndlog-bench --bin experiments -- <figure> [scale] [options]
 //!
 //! <figure>    fig7 | fig8 | fig9 | fig10 | fig11 | fig12 | fig13 | fig14 |
-//!             scaling | micro | vectorization | optimizer | summary | all
+//!             scaling | micro | optimizer | summary | all
 //! [scale]     paper (default, 100 nodes) | small (14 nodes) | medium (52) |
 //!             large (264) | 1k (1010) | 4k (4016) | 10k (10100); `scaling`
 //!             also accepts a comma list (e.g. large,1k) and emits one
@@ -19,13 +19,10 @@
 //! --json PATH write the figure's machine-readable JSON report
 //!             (scaling -> BENCH_parallel_scaling.json format,
 //!              micro -> BENCH_micro_runtime.json format,
-//!              vectorization -> BENCH_batch_vectorization.json format,
 //!              optimizer -> BENCH_optimizer.json format)
 //! --baseline PATH  (`micro`, `optimizer`) compare against the committed
 //!             JSON report and exit non-zero on a >2x regression — the CI
 //!             smoke gates
-//! --reference PATH (`vectorization` only) a prior scaling JSON whose
-//!             1-thread run becomes the before-change wall-clock reference
 //! ```
 //!
 //! Figures 7/8 and 9/10 come from the same runs, so either name prints both
@@ -34,11 +31,11 @@
 //! bit-for-bit identity check against the sequential baseline.
 
 use ndlog_bench::experiments::{
-    adversity, aggregate_selections, aggregate_selections_with, batch_vectorization,
-    incremental_updates, incremental_updates_interleaved_with, incremental_updates_with,
-    magic_sets_with, message_sharing, message_sharing_with, micro_runtime, optimizer_bench,
-    parallel_scaling, periodic_aggregate_selections, periodic_aggregate_selections_with,
-    ScalingReference, ScalingTrajectory, ADVERSITY_SEED,
+    adversity, aggregate_selections, aggregate_selections_with, incremental_updates,
+    incremental_updates_interleaved_with, incremental_updates_with, magic_sets_with,
+    message_sharing, message_sharing_with, micro_runtime, optimizer_bench, parallel_scaling,
+    periodic_aggregate_selections, periodic_aggregate_selections_with, ScalingTrajectory,
+    ADVERSITY_SEED,
 };
 use ndlog_bench::Scale;
 use ndlog_lang::PassSet;
@@ -47,9 +44,9 @@ use ndlog_net::topology::Metric;
 fn usage() -> ! {
     eprintln!(
         "usage: experiments <fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|scaling|micro|\
-         vectorization|optimizer|adversity|summary|all> [paper|small|medium|large|1k|4k|10k] \
+         optimizer|adversity|summary|all> [paper|small|medium|large|1k|4k|10k] \
          (comma list for `scaling`) [--optimize off|magic|reorder|all] \
-         [--threads N] [--json PATH] [--baseline PATH] [--reference PATH]"
+         [--threads N] [--json PATH] [--baseline PATH]"
     );
     std::process::exit(2);
 }
@@ -67,8 +64,6 @@ struct Options {
     json: Option<String>,
     /// Committed micro-bench JSON to gate regressions against.
     baseline: Option<String>,
-    /// Prior scaling JSON used as the vectorization reference.
-    reference: Option<String>,
     /// Optimizer pass level for the figure experiments.
     optimize: PassSet,
 }
@@ -78,7 +73,6 @@ fn parse_args(args: &[String]) -> Options {
     let mut threads = None;
     let mut json = None;
     let mut baseline = None;
-    let mut reference = None;
     let mut optimize = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -104,9 +98,6 @@ fn parse_args(args: &[String]) -> Options {
             "--baseline" => {
                 baseline = Some(iter.next().cloned().unwrap_or_else(|| usage()));
             }
-            "--reference" => {
-                reference = Some(iter.next().cloned().unwrap_or_else(|| usage()));
-            }
             _ if arg.starts_with("--") => usage(),
             _ => positional.push(arg.clone()),
         }
@@ -130,12 +121,10 @@ fn parse_args(args: &[String]) -> Options {
     // silently ignoring them.
     let takes_json = matches!(
         figure.as_str(),
-        "scaling" | "micro" | "vectorization" | "optimizer" | "adversity" | "all"
+        "scaling" | "micro" | "optimizer" | "adversity" | "all"
     );
     if !takes_json && json.is_some() {
-        eprintln!(
-            "--json applies only to scaling, micro, vectorization, optimizer, adversity (or all)"
-        );
+        eprintln!("--json applies only to scaling, micro, optimizer, adversity (or all)");
         usage();
     }
     if threads.is_some() && figure != "scaling" && figure != "all" {
@@ -146,10 +135,6 @@ fn parse_args(args: &[String]) -> Options {
         eprintln!("--baseline applies only to the `micro` and `optimizer` figures");
         usage();
     }
-    if reference.is_some() && figure != "vectorization" {
-        eprintln!("--reference applies only to the `vectorization` figure");
-        usage();
-    }
     Options {
         figure,
         scale: scales[0],
@@ -157,7 +142,6 @@ fn parse_args(args: &[String]) -> Options {
         threads: threads.unwrap_or(4),
         json,
         baseline,
-        reference,
         optimize: optimize.unwrap_or(PassSet::ALL),
     }
 }
@@ -214,29 +198,6 @@ fn run_micro(options: &Options) {
         if failed {
             std::process::exit(1);
         }
-    }
-}
-
-/// Run the batch-vectorization report (micro bench + scaling at 1/2/4
-/// threads), pulling the before-change reference out of a prior scaling
-/// JSON when one is given.
-fn run_vectorization(options: &Options) {
-    let reference = options.reference.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let wall = json_number(&text, "wall_seconds")
-            .unwrap_or_else(|| panic!("{path} has no wall_seconds"));
-        let messages = json_number(&text, "messages")
-            .unwrap_or_else(|| panic!("{path} has no messages")) as usize;
-        ScalingReference {
-            wall_seconds: wall,
-            messages,
-        }
-    });
-    let result = batch_vectorization(options.scale, reference);
-    println!("{}", result.render());
-    if let Some(path) = &options.json {
-        std::fs::write(path, result.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path}");
     }
 }
 
@@ -365,9 +326,6 @@ fn run_figure(figure: &str, options: &Options) {
         }
         "micro" => {
             run_micro(options);
-        }
-        "vectorization" => {
-            run_vectorization(options);
         }
         "optimizer" => {
             run_optimizer(options);

@@ -1130,8 +1130,8 @@ impl ScalingTrajectory {
 
     /// Serialize the trajectory. The top level keeps the
     /// `"bench": "parallel_scaling"` marker and a single entry keeps the
-    /// flat single-scale layout, so existing consumers (CI greps, the
-    /// vectorization `--reference` scanner) read both shapes unchanged.
+    /// flat single-scale layout, so existing consumers (CI greps) read
+    /// both shapes unchanged.
     pub fn to_json(&self) -> String {
         if self.entries.len() == 1 {
             return self.entries[0].to_json();
@@ -2101,170 +2101,6 @@ pub fn micro_runtime() -> MicroRuntimeResult {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Batch vectorization: micro join speedup + end-to-end scaling wall clock.
-// ---------------------------------------------------------------------------
-
-/// A prior scaling measurement to compare against (typically the committed
-/// `BENCH_parallel_scaling.json` from before a change): 1-thread wall
-/// seconds and the message count that must not change.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalingReference {
-    /// Wall seconds of the reference 1-thread run.
-    pub wall_seconds: f64,
-    /// Messages sent by the reference run.
-    pub messages: usize,
-}
-
-/// The batch-vectorization report: the micro join bench (tuple-at-a-time
-/// vs batch) plus a fresh end-to-end scaling run, with an optional
-/// before-change reference for the wall-clock comparison.
-#[derive(Debug, Clone)]
-pub struct BatchVectorizationResult {
-    /// The micro join measurements.
-    pub micro: MicroRuntimeResult,
-    /// The end-to-end scaling runs (1 thread first).
-    pub scaling: ParallelScalingResult,
-    /// The before-change reference, if one was supplied.
-    pub reference: Option<ScalingReference>,
-}
-
-impl BatchVectorizationResult {
-    fn baseline_run(&self) -> &ScalingRun {
-        self.scaling
-            .runs
-            .iter()
-            .find(|r| r.threads == 1)
-            .expect("a 1-thread baseline is always run")
-    }
-
-    /// Wall-clock improvement of the 1-thread run over the reference
-    /// (>1 = faster now), when a reference exists.
-    pub fn wall_improvement(&self) -> Option<f64> {
-        let run = self.baseline_run();
-        self.reference
-            .map(|r| r.wall_seconds / run.wall_seconds.max(f64::MIN_POSITIVE))
-    }
-
-    /// Render the report.
-    pub fn render(&self) -> String {
-        let mut out = self.micro.render();
-        let _ = writeln!(out);
-        out.push_str(&self.scaling.render());
-        if let (Some(reference), Some(improvement)) = (self.reference, self.wall_improvement()) {
-            let run = self.baseline_run();
-            let _ = writeln!(
-                out,
-                "vs reference: {:.3} s -> {:.3} s at 1 thread ({:.2}x), messages {} -> {}",
-                reference.wall_seconds,
-                run.wall_seconds,
-                improvement,
-                reference.messages,
-                run.messages
-            );
-        }
-        out
-    }
-
-    /// Serialize as the `BENCH_batch_vectorization.json` format.
-    pub fn to_json(&self) -> String {
-        let run = self.baseline_run();
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"bench\": \"batch_vectorization\",");
-        let _ = writeln!(out, "  \"micro\": {{");
-        let _ = writeln!(
-            out,
-            "    \"indexed_fire_us_per_trigger\": {:.4},",
-            self.micro.indexed_fire_us
-        );
-        let _ = writeln!(
-            out,
-            "    \"indexed_batch_us_per_trigger\": {:.4},",
-            self.micro.indexed_batch_us
-        );
-        let _ = writeln!(
-            out,
-            "    \"indexed_grouped_us_per_trigger\": {:.4},",
-            self.micro.indexed_grouped_us
-        );
-        let _ = writeln!(
-            out,
-            "    \"dup_distinct_keys\": {},",
-            self.micro.dup_distinct_keys
-        );
-        let _ = writeln!(
-            out,
-            "    \"dup_batch_us_per_trigger\": {:.4},",
-            self.micro.dup_batch_us
-        );
-        let _ = writeln!(
-            out,
-            "    \"dup_grouped_us_per_trigger\": {:.4},",
-            self.micro.dup_grouped_us
-        );
-        let _ = writeln!(
-            out,
-            "    \"batch_speedup\": {:.4},",
-            self.micro.batch_speedup()
-        );
-        let _ = writeln!(
-            out,
-            "    \"grouping_speedup\": {:.4}",
-            self.micro.grouping_speedup()
-        );
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"scaling\": {{");
-        let _ = writeln!(out, "    \"scale\": \"{}\",", self.scaling.scale.label());
-        let _ = writeln!(out, "    \"nodes\": {},", self.scaling.nodes);
-        let _ = writeln!(out, "    \"cpus\": {},", self.scaling.cpus);
-        let _ = writeln!(out, "    \"note\": \"{}\",", self.scaling.note);
-        let _ = writeln!(out, "    \"wall_seconds\": {:.6},", run.wall_seconds);
-        let _ = writeln!(out, "    \"messages\": {},", run.messages);
-        let _ = writeln!(out, "    \"total_mb\": {:.6},", run.total_mb);
-        let _ = writeln!(out, "    \"quiesced\": {},", run.quiesced);
-        let identical = self.scaling.runs.iter().all(|r| r.identical);
-        let same_messages = self.scaling.runs.iter().all(|r| r.messages == run.messages);
-        let _ = writeln!(out, "    \"identical\": {}", identical && same_messages);
-        let _ = writeln!(out, "  }},");
-        match (self.reference, self.wall_improvement()) {
-            (Some(reference), Some(improvement)) => {
-                let _ = writeln!(out, "  \"reference\": {{");
-                let _ = writeln!(out, "    \"wall_seconds\": {:.6},", reference.wall_seconds);
-                let _ = writeln!(out, "    \"messages\": {},", reference.messages);
-                let _ = writeln!(
-                    out,
-                    "    \"same_messages\": {},",
-                    reference.messages == run.messages
-                );
-                let _ = writeln!(out, "    \"wall_improvement\": {:.4}", improvement);
-                let _ = writeln!(out, "  }}");
-            }
-            _ => {
-                let _ = writeln!(out, "  \"reference\": null");
-            }
-        }
-        let _ = writeln!(out, "}}");
-        out
-    }
-}
-
-/// Measure the batch-vectorization work end to end: the micro join bench
-/// plus a scaling run at 1/2/4 threads (bit-identity verified in-run),
-/// optionally against a before-change reference.
-pub fn batch_vectorization(
-    scale: Scale,
-    reference: Option<ScalingReference>,
-) -> BatchVectorizationResult {
-    let micro = micro_runtime();
-    let scaling = parallel_scaling(scale, &[1, 2, 4]);
-    BatchVectorizationResult {
-        micro,
-        scaling,
-        reference,
-    }
-}
-
 /// Figure 13: bursts every 10 s for 250 s.
 pub fn incremental_updates(scale: Scale) -> IncrementalResult {
     incremental_updates_with(scale, PassSet::ALL)
@@ -2506,7 +2342,7 @@ mod tests {
     }
 
     #[test]
-    fn micro_and_vectorization_json_shapes() {
+    fn micro_json_shape() {
         // The measurement itself runs in release via the CI smoke step;
         // here only the report formats are checked.
         let micro = MicroRuntimeResult {
@@ -2537,22 +2373,6 @@ mod tests {
         assert!(json.contains("\"batch_speedup\": 2.0000"));
         assert!(json.contains("\"grouping_speedup\": 2.0000"));
         assert!(!micro.render().is_empty());
-
-        let scaling = parallel_scaling(Scale::Small, &[2]);
-        let result = BatchVectorizationResult {
-            micro,
-            scaling,
-            reference: Some(ScalingReference {
-                wall_seconds: 1.0,
-                messages: 0,
-            }),
-        };
-        let json = result.to_json();
-        assert!(json.contains("\"bench\": \"batch_vectorization\""));
-        assert!(json.contains("\"reference\": {"));
-        assert!(json.contains("\"wall_improvement\": "));
-        assert!(result.wall_improvement().unwrap() > 0.0);
-        assert!(!result.render().is_empty());
     }
 
     #[test]

@@ -78,7 +78,7 @@
 use crate::engine::ResultRecord;
 use crate::exec::queue::WorkQueue;
 use crate::exec::worker::WorkerPool;
-use crate::node::{NodeEngine, ResultChange};
+use crate::node::NodeEngine;
 use crate::sharing;
 use ndlog_net::sim::SimTime;
 use ndlog_net::NodeAddr;
@@ -162,7 +162,7 @@ pub fn outbound_batches(
 pub fn result_records(
     node: NodeAddr,
     time: SimTime,
-    changes: Vec<ResultChange>,
+    changes: Vec<TupleDelta>,
 ) -> Vec<ResultRecord> {
     changes
         .into_iter()

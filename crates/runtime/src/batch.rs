@@ -1,18 +1,20 @@
 //! Batch-delta strand evaluation: slot-compiled rules over flat, reusable
-//! environment buffers.
+//! environment buffers — the one join path production runs. Every firing
+//! of the evaluation kernel ([`crate::kernel`]) goes through it: PSN and
+//! SN/BSN rounds, the DRed over-delete closure and DRed re-derivation.
 //!
 //! [`crate::strand::CompiledStrand::fire`] evaluates one trigger delta at a
 //! time, carrying its binding environments as `BTreeMap<String, Value>`s —
 //! every join candidate clones a whole map (tree nodes *and* `String`
-//! keys), which is the dominant per-tuple constant the profiles show once
-//! index probing has removed the join-selectivity cost. This module is the
-//! vectorized alternative: at compile time every variable of a rule gets a
-//! fixed **slot**, terms and expressions are rewritten to slot references,
-//! and at run time a whole batch of trigger deltas is drained through the
-//! rule's stages using two flat column buffers (`current` / `next` rows of
-//! `width` slots each) owned by a reusable [`BatchScratch`]. Extending an
-//! environment is a row copy into the arena; no per-environment `Vec`,
-//! map or `String` is ever allocated.
+//! keys); it survives only as the reference the batch path is tested and
+//! benchmarked against. This module is the vectorized alternative: at
+//! compile time every variable of a rule gets a fixed **slot**, terms and
+//! expressions are rewritten to slot references, and at run time a whole
+//! batch of trigger deltas is drained through the rule's stages using two
+//! flat column buffers (`current` / `next` rows of `width` slots each)
+//! owned by a reusable [`BatchScratch`]. Extending an environment is a row
+//! copy into the arena; no per-environment `Vec`, map or `String` is ever
+//! allocated.
 //!
 //! # Key-grouped probe sharing
 //!
@@ -31,8 +33,9 @@
 //! guarantees every residual `CheckSlot` refers to a slot bound by an
 //! earlier column of the same atom (any slot bound by an earlier stage is
 //! part of the probe key), so two rows with equal keys accept exactly the
-//! same candidates. The ungrouped stage (one lookup per row) survives as
-//! the differential reference.
+//! same candidates. The ungrouped stage (one lookup per row) is no longer
+//! fired by any engine: it survives as the differential reference in tests
+//! and as the micro bench's `indexed_batch_us_per_trigger` path.
 //!
 //! # Equivalence contract
 //!

@@ -296,7 +296,9 @@ pub fn over_delete(
 /// repeated head variables cannot produce it are skipped. The bound key
 /// pins the trigger columns recorded by the planner
 /// ([`CompiledStrand::rederive_requirement`]), so candidate triggers come
-/// from an index probe when any column is pinned, and only derivations
+/// from an index probe when any column is pinned. All of one strand's
+/// candidates fire as one batch with full visibility (`seq_limit =
+/// u64::MAX`) through [`CompiledStrand::fire_batch`], and only derivations
 /// landing in the vacated key are kept.
 ///
 /// Derivations restored further downstream are *not* this function's job:
@@ -307,6 +309,8 @@ pub fn rederive_inserts(
     strands: &[CompiledStrand],
     deleted: &TupleDelta,
     stats: &mut JoinStats,
+    scratch: &mut BatchScratch,
+    batch_out: &mut BatchOutput,
 ) -> Result<Vec<TupleDelta>, EvalError> {
     let Some(relation) = store.relation(&deleted.relation) else {
         return Ok(Vec::new());
@@ -378,18 +382,26 @@ pub fn rederive_inserts(
             vals.len(),
             "pinned columns are key-var trigger columns"
         );
-        let candidates: Vec<Tuple> = trigger_relation
+        let candidates: Vec<TupleDelta> = trigger_relation
             .lookup(&cols, &vals, u64::MAX, stats)
-            .map(|s| s.tuple.clone())
+            .map(|s| TupleDelta::insert(strand.trigger_relation().to_string(), s.tuple.clone()))
             .collect();
-        for tuple in candidates {
-            let trigger = TupleDelta::insert(strand.trigger_relation().to_string(), tuple);
-            for derivation in strand.fire_counted(store, &trigger, u64::MAX, stats)? {
-                if schema.key_of(&derivation.delta.tuple) == key {
-                    out.push(derivation.delta);
-                }
-            }
+        if candidates.is_empty() {
+            continue;
         }
+        let triggers: Vec<BatchTrigger> = candidates
+            .iter()
+            .map(|delta| BatchTrigger {
+                delta,
+                seq_limit: u64::MAX,
+            })
+            .collect();
+        strand.fire_batch(store, &triggers, stats, scratch, batch_out)?;
+        batch_out.drain_into(|_, derivation| {
+            if schema.key_of(&derivation.delta.tuple) == key {
+                out.push(derivation.delta);
+            }
+        });
     }
     Ok(out)
 }
@@ -413,6 +425,16 @@ mod tests {
             .collect();
         store.declare_indexes(strands.iter());
         (store, strands)
+    }
+
+    fn rederive(
+        store: &Store,
+        strands: &[CompiledStrand],
+        deleted: &TupleDelta,
+        stats: &mut JoinStats,
+    ) -> Vec<TupleDelta> {
+        let (mut scratch, mut out) = (BatchScratch::default(), BatchOutput::default());
+        rederive_inserts(store, strands, deleted, stats, &mut scratch, &mut out).unwrap()
     }
 
     const REACH: &str = r#"
@@ -537,7 +559,7 @@ mod tests {
         store.apply(&TupleDelta::insert("reach", edge(1, 2)));
         let deleted = TupleDelta::delete("reach", edge(0, 2));
         let mut stats = JoinStats::default();
-        let inserts = rederive_inserts(&store, &strands, &deleted, &mut stats).unwrap();
+        let inserts = rederive(&store, &strands, &deleted, &mut stats);
         // rc1 re-derives it from edge(0,2); rc2 from edge(0,1) + reach(1,2).
         assert_eq!(inserts.len(), 2);
         assert!(inserts
@@ -550,7 +572,7 @@ mod tests {
         let (store, strands) = setup(REACH);
         let deleted = TupleDelta::delete("reach", edge(3, 4));
         let mut stats = JoinStats::default();
-        let inserts = rederive_inserts(&store, &strands, &deleted, &mut stats).unwrap();
+        let inserts = rederive(&store, &strands, &deleted, &mut stats);
         assert!(inserts.is_empty());
     }
 
@@ -562,15 +584,8 @@ mod tests {
         store.apply(&TupleDelta::insert("q", Tuple::new(vec![addr(0)])));
         let mut stats = JoinStats::default();
         let hit = TupleDelta::delete("out", Tuple::new(vec![addr(0), Value::Int(7)]));
-        assert_eq!(
-            rederive_inserts(&store, &strands, &hit, &mut stats)
-                .unwrap()
-                .len(),
-            1
-        );
+        assert_eq!(rederive(&store, &strands, &hit, &mut stats).len(), 1);
         let miss = TupleDelta::delete("out", Tuple::new(vec![addr(0), Value::Int(8)]));
-        assert!(rederive_inserts(&store, &strands, &miss, &mut stats)
-            .unwrap()
-            .is_empty());
+        assert!(rederive(&store, &strands, &miss, &mut stats).is_empty());
     }
 }

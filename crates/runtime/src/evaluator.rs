@@ -9,35 +9,38 @@
 //! 2. to compare the three evaluation strategies of Section 3 — classic
 //!    **semi-naive** (Algorithm 1), **buffered semi-naive** (which may
 //!    defer any buffered tuple to a later local iteration) and **pipelined
-//!    semi-naive** (Algorithm 3, one tuple at a time with timestamp-guarded
-//!    joins) — including the duplicate-inference bookkeeping of Theorem 2;
+//!    semi-naive** (Algorithm 3, timestamp-guarded joins) — including the
+//!    duplicate-inference bookkeeping of Theorem 2;
 //! 3. to exercise incremental updates (insertions, deletions, updates of
 //!    base tuples) against a quiesced store, the centralized half of the
 //!    eventual-consistency argument (Theorem 3).
 //!
-//! Insertions cascade through the strands pipelined; deletions take the
-//! DRed path ([`crate::dred`]): every delta that actually removes a stored
-//! tuple — an external deletion or the old half of a primary-key
-//! replacement — seeds an over-delete of its downstream closure (with the
-//! affected aggregate groups pinned) followed by re-derivation of the
-//! survivors. Because that pass never consults a derivation count, the
-//! incremental results match a from-scratch evaluation for *any* initial
-//! strategy. Every strategy restricts a trigger's joins to tuples applied
-//! before it (its own store timestamp), so no strategy repeats an
-//! inference when two deltas of the same round join each other — SN, BSN
-//! and PSN agree on stores down to per-tuple derivation counts, which
-//! `tests/optimizer.rs` relies on for the magic-sets differential
-//! property.
+//! An evaluator is a [`Kernel`] without a node address plus the strategy
+//! drivers. Every strategy fires the work queue as delta batches through
+//! `Kernel::fire_round`; the drivers differ only in what a round holds
+//! and in what they do with the remainder a mid-round removal leaves
+//! unconsumed. Deletions take the DRed path ([`crate::dred`]): every delta
+//! that actually removes a stored tuple — an external deletion or the old
+//! half of a primary-key replacement — seeds an over-delete of its
+//! downstream closure (with the affected aggregate groups pinned) followed
+//! by re-derivation of the survivors. Because that pass never consults a
+//! derivation count, the incremental results match a from-scratch
+//! evaluation for *any* initial strategy. Every strategy restricts a
+//! trigger's joins to tuples applied before it (its own store timestamp),
+//! so no strategy repeats an inference when two deltas of the same round
+//! join each other — SN, BSN and PSN agree on stores down to per-tuple
+//! derivation counts, which `tests/optimizer.rs` relies on for the
+//! magic-sets differential property.
 
 use crate::aggview::AggregateView;
-use crate::batch::{BatchOutput, BatchScratch, BatchTrigger};
 use crate::expr::EvalError;
+use crate::kernel::{EvalStats, Kernel};
 use crate::store::Store;
-use crate::strand::{CompiledStrand, Derivation};
+use crate::strand::CompiledStrand;
 use crate::tuple::{Tuple, TupleDelta};
 use ndlog_lang::seminaive::delta_rewrite_full;
 use ndlog_lang::{Program, Rule};
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Which evaluation strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,114 +55,16 @@ pub enum Strategy {
         /// Maximum number of buffered tuples flushed per iteration.
         batch: usize,
     },
-    /// Pipelined semi-naive evaluation (Algorithm 3): one tuple at a time,
-    /// joins restricted to same-or-older timestamps.
+    /// Pipelined semi-naive evaluation (Algorithm 3): joins restricted to
+    /// same-or-older timestamps, the queue drained as it fills.
     Pipelined,
-}
-
-/// Statistics of an evaluation run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvalStats {
-    /// Number of iterations (SN/BSN) or processed tuples (PSN); tuples
-    /// removed by DRed deletion passes count here too.
-    pub iterations: usize,
-    /// Strand firings that produced at least one derivation.
-    pub derivations: usize,
-    /// Derivations whose tuple was already stored (the duplicate
-    /// inferences that Theorem 2 is about minimizing).
-    pub redundant_derivations: usize,
-    /// Total deltas enqueued for processing.
-    pub tuples_processed: usize,
-    /// Joins answered by a secondary-index probe, counted per binding
-    /// environment (one per trigger per atom). Identical across
-    /// tuple-at-a-time, ungrouped-batch and grouped-batch evaluation.
-    pub logical_probes: usize,
-    /// Index bucket lookups actually executed. Key-grouped batch probing
-    /// answers every same-key trigger of a batch with one lookup, so this
-    /// is `≤ logical_probes`; the tuple-at-a-time and ungrouped paths
-    /// report the two counters equal.
-    pub distinct_probes: usize,
-    /// Joins that fell back to scanning a relation.
-    pub scans: usize,
-    /// Stored tuples examined across all joins — the computation-overhead
-    /// counterpart of the paper's communication metrics. With probe plans
-    /// this grows with the number of matches, not with relation sizes.
-    pub tuples_examined: usize,
-}
-
-impl EvalStats {
-    /// Fold join-level counters into the run statistics.
-    pub fn absorb_joins(&mut self, joins: crate::strand::JoinStats) {
-        self.logical_probes += joins.logical_probes;
-        self.distinct_probes += joins.distinct_probes;
-        self.scans += joins.scans;
-        self.tuples_examined += joins.tuples_examined;
-    }
-}
-
-impl std::ops::AddAssign for EvalStats {
-    fn add_assign(&mut self, other: EvalStats) {
-        self.iterations += other.iterations;
-        self.derivations += other.derivations;
-        self.redundant_derivations += other.redundant_derivations;
-        self.tuples_processed += other.tuples_processed;
-        self.logical_probes += other.logical_probes;
-        self.distinct_probes += other.distinct_probes;
-        self.scans += other.scans;
-        self.tuples_examined += other.tuples_examined;
-    }
-}
-
-/// The counter-wise difference of two cumulative snapshots (e.g. "work
-/// attributable to the update bursts" = after − before). Saturates at zero.
-impl std::ops::Sub for EvalStats {
-    type Output = EvalStats;
-    fn sub(self, earlier: EvalStats) -> EvalStats {
-        EvalStats {
-            iterations: self.iterations.saturating_sub(earlier.iterations),
-            derivations: self.derivations.saturating_sub(earlier.derivations),
-            redundant_derivations: self
-                .redundant_derivations
-                .saturating_sub(earlier.redundant_derivations),
-            tuples_processed: self
-                .tuples_processed
-                .saturating_sub(earlier.tuples_processed),
-            logical_probes: self.logical_probes.saturating_sub(earlier.logical_probes),
-            distinct_probes: self.distinct_probes.saturating_sub(earlier.distinct_probes),
-            scans: self.scans.saturating_sub(earlier.scans),
-            tuples_examined: self.tuples_examined.saturating_sub(earlier.tuples_examined),
-        }
-    }
 }
 
 /// A single-node NDlog evaluator.
 pub struct Evaluator {
-    store: Store,
-    strands: Vec<CompiledStrand>,
-    views: Vec<AggregateView>,
+    kernel: Kernel,
     /// Facts declared in the program, loaded at construction.
     base_facts: Vec<TupleDelta>,
-    /// Drain the work queue in delta batches through the strands'
-    /// slot-compiled plans (the default). Off = the tuple-at-a-time
-    /// reference loop, kept for differential testing.
-    batching: bool,
-    /// Share index probes across same-key triggers of a batch (the
-    /// default). Off = the PR 4 per-trigger probing, kept for
-    /// differential testing.
-    probe_grouping: bool,
-    /// Probe signatures shared by two or more strands
-    /// ([`crate::subplan::shared_signatures`], computed once at plan
-    /// time). Non-empty arms a per-round cross-rule
-    /// [`crate::subplan::ProbeCache`] on the grouped batch path, so each
-    /// distinct `(relation, cols, key)`
-    /// lookup of a round executes once across every strand sharing it.
-    shared_sigs: Vec<(String, Vec<usize>)>,
-    /// Reusable flat buffers for the batch path.
-    scratch: BatchScratch,
-    batch_out: BatchOutput,
-    /// Live-query hook: records visibility transitions of subscribed
-    /// relations (see [`crate::tap`]).
-    tap: crate::tap::DeltaTap,
 }
 
 impl Evaluator {
@@ -184,16 +89,6 @@ impl Evaluator {
             views.push(AggregateView::from_rule(rule)?);
         }
 
-        let mut store = Store::for_program(program);
-        // Build every secondary index the compiled probe plans and the
-        // aggregate views' guard checks need, once, before any tuple
-        // arrives.
-        store.declare_indexes(&strands);
-        for view in &views {
-            for (relation, cols) in view.index_requirements() {
-                store.declare_index(&relation, &cols);
-            }
-        }
         let base_facts = program
             .rules
             .iter()
@@ -205,87 +100,41 @@ impl Evaluator {
             })
             .collect::<Result<Vec<_>, String>>()?;
 
-        let shared_sigs = crate::subplan::shared_signatures(&strands);
+        let store = Store::for_program(program);
         Ok(Evaluator {
-            store,
-            strands,
-            views,
+            kernel: Kernel::new(store, Arc::new(strands), views, Vec::new(), None),
             base_facts,
-            batching: true,
-            probe_grouping: true,
-            shared_sigs,
-            scratch: BatchScratch::default(),
-            batch_out: BatchOutput::default(),
-            tap: crate::tap::DeltaTap::new(),
         })
     }
 
     /// The live-query delta tap (subscribe/unsubscribe relations).
     pub fn tap(&self) -> &crate::tap::DeltaTap {
-        &self.tap
+        self.kernel.tap()
     }
 
     /// Mutable access to the delta tap.
     pub fn tap_mut(&mut self) -> &mut crate::tap::DeltaTap {
-        &mut self.tap
+        self.kernel.tap_mut()
     }
 
     /// Take the visibility transitions recorded since the last drain, in
     /// store order.
     pub fn drain_tap(&mut self) -> Vec<TupleDelta> {
-        self.tap.drain()
-    }
-
-    /// Toggle batch-delta evaluation (on by default). The tuple-at-a-time
-    /// loop survives as the reference implementation: a run with batching
-    /// off produces the identical store and statistics except for
-    /// probe-count accounting — a batch fires every queued delta against
-    /// one store snapshot, so `tuples_examined` can differ (buckets probed
-    /// before, rather than after, a sibling delta's insertions are
-    /// PSN-invisible either way but still counted), and a batch invalidated
-    /// by a mid-batch removal re-fires its remainder, re-counting those
-    /// probes. See `tests/properties.rs` for the differential property.
-    pub fn set_batching(&mut self, on: bool) {
-        self.batching = on;
-    }
-
-    /// Toggle key-grouped probe sharing inside the batch path (on by
-    /// default; irrelevant when batching is off). With grouping off every
-    /// trigger probes the index itself, exactly the PR 4 behaviour: the
-    /// stores and all statistics match the grouped run bit-for-bit except
-    /// `EvalStats::distinct_probes`, which grouping shrinks to the bucket
-    /// lookups actually executed. The DRed over-delete closure always
-    /// groups — its logical accounting is unaffected, which is what the
-    /// differential property compares.
-    pub fn set_probe_grouping(&mut self, on: bool) {
-        self.probe_grouping = on;
+        self.kernel.drain_tap()
     }
 
     /// The underlying store.
     pub fn store(&self) -> &Store {
-        &self.store
-    }
-
-    /// Mutable access to the store (e.g. to pre-load base tuples).
-    pub fn store_mut(&mut self) -> &mut Store {
-        &mut self.store
-    }
-
-    /// The compiled strands (useful for inspection in tests).
-    pub fn strands(&self) -> &[CompiledStrand] {
-        &self.strands
+        self.kernel.store()
     }
 
     /// All tuples of a relation.
     pub fn results(&self, relation: &str) -> Vec<Tuple> {
-        self.store.tuples(relation)
+        self.kernel.store().tuples(relation)
     }
 
-    /// Insert a base fact (does not run evaluation).
-    ///
-    /// Returns the deltas that still need processing; they are queued
-    /// internally by [`Evaluator::run`] / [`Evaluator::update`], so callers
-    /// normally ignore the return value.
+    /// Queue a base fact for the next [`Evaluator::run`] (does not run
+    /// evaluation).
     pub fn insert_fact(&mut self, relation: &str, tuple: Tuple) {
         self.base_facts
             .push(TupleDelta::insert(relation.to_string(), tuple));
@@ -314,345 +163,48 @@ impl Evaluator {
         self.process(deltas, Strategy::Pipelined)
     }
 
-    /// Core driver shared by all strategies.
-    ///
-    /// The insert-only work queue holds deltas that have been applied to
-    /// the store (and therefore have a timestamp) but whose strands have
-    /// not fired. Deletions never enter the queue: every delta whose
-    /// application actually removed a tuple — an external deletion or the
-    /// old half of a primary-key replacement — is collected in `pending`
-    /// and consumed synchronously by a DRed pass ([`crate::dred`]), whose
-    /// re-derivation insertions re-enter the queue like any other insert.
+    /// Ingest the external deltas and run the strategy's driver to
+    /// fixpoint, returning the work this call did.
     fn process(
         &mut self,
         external: Vec<TupleDelta>,
         strategy: Strategy,
     ) -> Result<EvalStats, EvalError> {
-        let mut stats = EvalStats::default();
-        let mut queue: VecDeque<(TupleDelta, u64)> = VecDeque::new();
-        let mut pending: Vec<TupleDelta> = Vec::new();
+        let before = self.kernel.stats();
         for delta in external {
-            self.ingest(delta, &mut queue, &mut pending, &mut stats);
+            self.kernel.ingest(delta);
         }
-        self.drain_deletions(&mut queue, &mut pending, &mut stats)?;
-
         match strategy {
-            // Batch-delta PSN (the default): drain the whole queue as one
-            // delta batch per round. Firing a trigger before its siblings'
-            // derivations are applied is PSN-exact — those derivations
-            // carry timestamps above every batch trigger's visibility
-            // limit, so the joins could not have seen them anyway.
-            Strategy::Pipelined if self.batching => {
-                while !queue.is_empty() {
-                    let round: Vec<(TupleDelta, u64)> = queue.drain(..).collect();
-                    let mut per_trigger = self.fire_batch_round(&round, &mut stats)?;
-                    let mut consumed = round.len();
-                    for (i, derived) in per_trigger.iter_mut().enumerate() {
-                        stats.iterations += 1;
-                        for derivation in derived.drain(..) {
-                            stats.derivations += 1;
-                            self.ingest(derivation.delta, &mut queue, &mut pending, &mut stats);
-                        }
-                        if !pending.is_empty() {
-                            consumed = i + 1;
-                            break;
-                        }
-                    }
-                    // A mid-batch removal (a primary-key replacement or an
-                    // external delete in the batch) invalidates the
-                    // remaining precomputed firings: their triggers return
-                    // to the queue front — still ahead of the derivations
-                    // ingested above — and re-fire against the post-DRed
-                    // store, exactly where the tuple-at-a-time loop would
-                    // have fired them.
-                    for entry in round.into_iter().skip(consumed).rev() {
-                        queue.push_front(entry);
-                    }
-                    self.drain_deletions(&mut queue, &mut pending, &mut stats)?;
-                }
-            }
-            // Tuple-at-a-time PSN: the reference loop, kept for
-            // differential testing (see `Evaluator::set_batching`).
-            Strategy::Pipelined => {
-                while let Some((delta, seq)) = queue.pop_front() {
-                    stats.iterations += 1;
-                    self.fire_all(&delta, seq, &mut queue, &mut pending, &mut stats)?;
-                    self.drain_deletions(&mut queue, &mut pending, &mut stats)?;
-                }
-            }
-            Strategy::SemiNaive | Strategy::Buffered { .. } => {
-                let batch = match strategy {
-                    Strategy::Buffered { batch } => batch.max(1),
-                    _ => usize::MAX,
-                };
-                while !queue.is_empty() {
-                    stats.iterations += 1;
-                    // Each trigger joins only tuples applied before it (its
-                    // own store timestamp). That is the old/new separation
-                    // of Algorithm 1 with footnote 2's ordering realised by
-                    // apply order: when two deltas of the same iteration
-                    // join each other, exactly one trigger — the later —
-                    // sees the pair, so no inference is repeated.
-                    let take = queue.len().min(batch);
-                    let mut this_round: Vec<_> = queue.drain(..take).collect();
-                    if self.batching {
-                        // The whole iteration fires as delta batches. A
-                        // mid-iteration removal re-fires the *remainder of
-                        // this iteration* after the DRed pass — never
-                        // starting a new iteration early.
-                        while !this_round.is_empty() {
-                            let mut per_trigger = self.fire_batch_round(&this_round, &mut stats)?;
-                            let mut consumed = this_round.len();
-                            for (i, derived) in per_trigger.iter_mut().enumerate() {
-                                for derivation in derived.drain(..) {
-                                    stats.derivations += 1;
-                                    self.ingest(
-                                        derivation.delta,
-                                        &mut queue,
-                                        &mut pending,
-                                        &mut stats,
-                                    );
-                                }
-                                if !pending.is_empty() {
-                                    consumed = i + 1;
-                                    break;
-                                }
-                            }
-                            this_round.drain(..consumed);
-                            self.drain_deletions(&mut queue, &mut pending, &mut stats)?;
-                        }
-                    } else {
-                        for (delta, apply_seq) in this_round {
-                            self.fire_all(&delta, apply_seq, &mut queue, &mut pending, &mut stats)?;
-                            self.drain_deletions(&mut queue, &mut pending, &mut stats)?;
-                        }
-                    }
-                }
-            }
+            Strategy::Pipelined => self.kernel.run_pipelined()?,
+            Strategy::SemiNaive => self.run_iterations(usize::MAX)?,
+            Strategy::Buffered { batch } => self.run_iterations(batch.max(1))?,
         }
-        Ok(stats)
+        Ok(self.kernel.stats() - before)
     }
 
-    /// Fire every strand over a batch of applied-but-unfired insertion
-    /// deltas against the current store snapshot, returning each trigger's
-    /// derivations in exactly the order the tuple-at-a-time loop ingests
-    /// them (strands in declaration order per trigger). Every trigger joins
-    /// with its own apply timestamp as the visibility limit, so two deltas
-    /// of the same batch that join each other derive the head exactly once
-    /// (from the later trigger) under every strategy. Triggers whose
-    /// tuple is no longer stored — over-deleted or replaced since being
-    /// queued — yield nothing, mirroring [`Evaluator::fire_all`]'s skip;
-    /// that status cannot change mid-batch because any removal interrupts
-    /// the batch for a DRed pass before the next trigger is consumed.
-    fn fire_batch_round(
-        &mut self,
-        batch: &[(TupleDelta, u64)],
-        stats: &mut EvalStats,
-    ) -> Result<Vec<Vec<Derivation>>, EvalError> {
-        let mut per_trigger: Vec<Vec<Derivation>> = batch.iter().map(|_| Vec::new()).collect();
-        let live: Vec<bool> = batch
-            .iter()
-            .map(|(delta, _)| {
-                debug_assert_eq!(delta.sign, crate::tuple::Sign::Insert);
-                self.store
-                    .relation(&delta.relation)
-                    .is_some_and(|r| r.contains(&delta.tuple))
-            })
-            .collect();
-        let mut joins = crate::strand::JoinStats::default();
-        // Arm the cross-rule probe cache for this round when the plan
-        // found shared signatures: the store is frozen until every strand
-        // of the round has fired, so cached candidate sets stay valid for
-        // exactly the cache's lifetime.
-        let mut cache = (self.probe_grouping && !self.shared_sigs.is_empty())
-            .then(|| crate::subplan::ProbeCache::new(&self.shared_sigs));
-        let mut triggers: Vec<BatchTrigger> = Vec::new();
-        let mut indices: Vec<usize> = Vec::new();
-        for strand in &self.strands {
-            triggers.clear();
-            indices.clear();
-            for (i, (delta, seq)) in batch.iter().enumerate() {
-                if live[i] && strand.trigger_relation() == delta.relation {
-                    triggers.push(BatchTrigger {
-                        delta,
-                        seq_limit: *seq,
-                    });
-                    indices.push(i);
-                }
-            }
-            if triggers.is_empty() {
-                continue;
-            }
-            match (self.probe_grouping, cache.as_mut()) {
-                (true, Some(cache)) => strand.fire_batch_shared(
-                    &self.store,
-                    &triggers,
-                    &mut joins,
-                    &mut self.scratch,
-                    &mut self.batch_out,
-                    cache,
-                )?,
-                (true, None) => strand.fire_batch(
-                    &self.store,
-                    &triggers,
-                    &mut joins,
-                    &mut self.scratch,
-                    &mut self.batch_out,
-                )?,
-                (false, _) => strand.fire_batch_ungrouped(
-                    &self.store,
-                    &triggers,
-                    &mut joins,
-                    &mut self.scratch,
-                    &mut self.batch_out,
-                )?,
-            }
-            self.batch_out
-                .drain_into(|local, derivation| per_trigger[indices[local]].push(derivation));
-        }
-        stats.absorb_joins(joins);
-        Ok(per_trigger)
-    }
-
-    /// Fire every strand triggered by an insertion delta and ingest the
-    /// derivations. Skips the firing when the delta's tuple is no longer
-    /// stored: a DRed pass that ran between the ingest and this firing
-    /// over-deleted it (or a replacement vacated it), so its consequences
-    /// are moot — if the tuple was re-derived, the re-derivation's own
-    /// queued insert fires the same strands.
-    fn fire_all(
-        &mut self,
-        delta: &TupleDelta,
-        seq_limit: u64,
-        queue: &mut VecDeque<(TupleDelta, u64)>,
-        pending: &mut Vec<TupleDelta>,
-        stats: &mut EvalStats,
-    ) -> Result<(), EvalError> {
-        debug_assert_eq!(delta.sign, crate::tuple::Sign::Insert);
-        if !self
-            .store
-            .relation(&delta.relation)
-            .is_some_and(|r| r.contains(&delta.tuple))
-        {
-            return Ok(());
-        }
-        let mut joins = crate::strand::JoinStats::default();
-        // Collect derivations first: strands borrow the store immutably.
-        let mut derived = Vec::new();
-        for strand in &self.strands {
-            if strand.trigger_relation() != delta.relation {
-                continue;
-            }
-            derived.extend(strand.fire_counted(&self.store, delta, seq_limit, &mut joins)?);
-        }
-        stats.absorb_joins(joins);
-        for derivation in derived {
-            stats.derivations += 1;
-            self.ingest(derivation.delta, queue, pending, stats);
-        }
-        Ok(())
-    }
-
-    /// Run DRed passes until no removal is pending: over-delete the
-    /// closure of the pending seeds, rebuild the pinned aggregate groups,
-    /// and ingest the re-derivation insertions (which may replace keyed
-    /// tuples and thereby queue further seeds — hence the loop).
-    fn drain_deletions(
-        &mut self,
-        queue: &mut VecDeque<(TupleDelta, u64)>,
-        pending: &mut Vec<TupleDelta>,
-        stats: &mut EvalStats,
-    ) -> Result<(), EvalError> {
-        while !pending.is_empty() {
-            let seeds = std::mem::take(pending);
-            let mut joins = crate::strand::JoinStats::default();
-            let marking = crate::dred::over_delete(
-                &mut self.store,
-                &self.strands,
-                &self.views,
-                seeds,
-                None,
-                &mut joins,
-            )?;
-            // Every marked tuple — external seeds, replacement old halves
-            // and the over-deleted closure — actually left the store;
-            // re-derived survivors come back through `ingest` as inserts.
-            for removal in &marking.removed {
-                self.tap.record(removal);
-            }
-            // Each removal is one processed delta (and one PSN-style
-            // iteration): the DRed counterpart of popping a deletion off
-            // the work queue.
-            stats.iterations += marking.removed.len();
-            stats.tuples_processed += marking.removed.len();
-            // Rebuild every pinned group from the post-removal store; the
-            // new aggregate outputs cascade like ordinary insertions.
-            let mut inserts: Vec<TupleDelta> = Vec::new();
-            for (view_idx, key) in &marking.dirty_groups {
-                inserts.extend(self.views[*view_idx].rebuild_group(&self.store, key, &mut joins));
-            }
-            // One-step re-derivation of each over-deleted tuple; survivors
-            // restored further downstream come from the insert cascade.
-            for candidate in marking.rederive_candidates() {
-                inserts.extend(crate::dred::rederive_inserts(
-                    &self.store,
-                    &self.strands,
-                    candidate,
-                    &mut joins,
-                )?);
-            }
-            stats.absorb_joins(joins);
-            for delta in inserts {
-                stats.derivations += 1;
-                self.ingest(delta, queue, pending, stats);
+    /// The SN/BSN driver: iterations of at most `batch` queued deltas each.
+    /// Each trigger joins only tuples applied before it (its own store
+    /// timestamp). That is the old/new separation of Algorithm 1 with
+    /// footnote 2's ordering realised by apply order: when two deltas of
+    /// the same iteration join each other, exactly one trigger — the later
+    /// — sees the pair, so no inference is repeated.
+    fn run_iterations(&mut self, batch: usize) -> Result<(), EvalError> {
+        let kernel = &mut self.kernel;
+        kernel.drain_deletions()?;
+        while !kernel.queue.is_empty() {
+            kernel.stats.iterations += 1;
+            let take = kernel.queue.len().min(batch);
+            let mut iteration: Vec<_> = kernel.queue.drain(..take).collect();
+            // A mid-iteration removal re-fires the *remainder of this
+            // iteration* after the DRed pass — never starting a new
+            // iteration early.
+            while !iteration.is_empty() {
+                let consumed = kernel.fire_round(&iteration)?;
+                iteration.drain(..consumed);
+                kernel.drain_deletions()?;
             }
         }
         Ok(())
-    }
-
-    /// Apply a delta to the store, feed aggregate views, and enqueue
-    /// whatever actually changed. Actual removals (external deletions and
-    /// the old halves of replacements) go to `pending` for the next DRed
-    /// pass instead of the queue; the views are *not* fed deletions — the
-    /// pass rebuilds the affected groups from the store (group pinning).
-    fn ingest(
-        &mut self,
-        delta: TupleDelta,
-        queue: &mut VecDeque<(TupleDelta, u64)>,
-        pending: &mut Vec<TupleDelta>,
-        stats: &mut EvalStats,
-    ) {
-        let effect = self.store.apply(&delta);
-        if effect.is_absorbed() {
-            // Duplicate derivation or stale deletion: absorbed by the count
-            // algorithm, nothing to propagate.
-            if delta.sign == crate::tuple::Sign::Insert {
-                stats.redundant_derivations += 1;
-            }
-            return;
-        }
-        let seq = effect.seq;
-        for prop in effect.into_propagation(delta) {
-            if prop.sign == crate::tuple::Sign::Delete {
-                pending.push(prop);
-                continue;
-            }
-            stats.tuples_processed += 1;
-            // A propagated insert is a 0 → >0 visibility transition.
-            self.tap.record(&prop);
-            // Aggregate views react to every real insertion of their
-            // source.
-            let mut view_outputs = Vec::new();
-            for view in &mut self.views {
-                if view.source_relation() == prop.relation {
-                    view_outputs.extend(view.apply(&self.store, &prop));
-                }
-            }
-            queue.push_back((prop, seq));
-            for out in view_outputs {
-                self.ingest(out, queue, pending, stats);
-            }
-        }
     }
 }
 

@@ -29,21 +29,27 @@
 //! * [`strand`] — compiled rule strands (the unit of execution in P2's
 //!   dataflow, Figures 3 and 5) and their firing logic;
 //! * [`batch`] — batch-delta evaluation: slot-compiled strand plans fired
-//!   over whole delta batches through flat reusable buffers, the
-//!   allocation-free twin of the tuple-at-a-time path;
+//!   over whole delta batches through flat reusable buffers, the one join
+//!   path production runs (the tuple-at-a-time and ungrouped paths remain
+//!   as test and bench references);
 //! * [`aggview`] — incremental maintenance of aggregate rules
 //!   (`min<C>`-style heads) with O(log n) deletion handling and
 //!   group-level pinning/rebuild for the DRed pass;
 //! * [`dred`] — DRed-style two-phase deletion maintenance (over-delete the
 //!   downstream closure in batched waves, then re-derive survivors), the
 //!   count-agnostic path every actual tuple removal takes;
+//! * [`kernel`] — the evaluation kernel, the one copy of PSN with DRed
+//!   deletions: store, strands, views, work queue, DRed pass, tap and
+//!   [`EvalStats`], with `ingest`, the batch firing round and the routing
+//!   of derivations located at other nodes each written once;
 //! * [`evaluator`] — the three centralized evaluation strategies of
-//!   Section 3: semi-naive (SN, Algorithm 1), buffered semi-naive (BSN) and
-//!   pipelined semi-naive (PSN, Algorithm 3), with derivation statistics
-//!   used to validate Theorems 1 and 2.
+//!   Section 3 as drivers over a kernel: semi-naive (SN, Algorithm 1),
+//!   buffered semi-naive (BSN) and pipelined semi-naive (PSN, Algorithm 3),
+//!   with derivation statistics used to validate Theorems 1 and 2.
 //!
-//! The distributed engine (`ndlog-core`) composes these pieces per node and
-//! adds the network, optimizations and update handling.
+//! The distributed engine (`ndlog-core`) runs one kernel per node and adds
+//! the network, outbound routing and flushing, soft state, crashes and the
+//! optimizations.
 //!
 //! # Performance
 //!
@@ -54,12 +60,12 @@
 //! matches per trigger, fired 256 triggers at a time over one store
 //! snapshot. The timed paths are the indexed tuple-at-a-time reference
 //! (`CompiledStrand::fire_counted`), the indexed batch-delta path without
-//! and with key-grouped probe sharing (`fire_batch_ungrouped` /
-//! `fire_batch`), the unindexed full scan, and a **duplicate-key**
-//! trigger set with Zipf-ish key frequencies fired through both batch
-//! paths. The methodology is deliberately simple: a fixed deterministic
-//! workload, one warmup pass, then a fixed number of timed passes,
-//! reported as µs per trigger.
+//! and with key-grouped probe sharing (the `fire_batch_ungrouped`
+//! reference / the production `fire_batch`), the unindexed full scan, and
+//! a **duplicate-key** trigger set with Zipf-ish key frequencies fired
+//! through both batch paths. The methodology is deliberately simple: a
+//! fixed deterministic workload, one warmup pass, then a fixed number of
+//! timed passes, reported as µs per trigger.
 //!
 //! Two optimizations stack on the batch path:
 //!
@@ -122,10 +128,11 @@
 //! tests compare) and `distinct_probes` counts bucket lookups actually
 //! executed (`≤ logical` under grouping; both deterministic, so they
 //! participate in the cross-thread bitwise-identity checks). Batch firing
-//! is semantics-identical to tuple-at-a-time — `tests/properties.rs`
-//! proves stores identical and statistics equal (grouped ≡ ungrouped on
-//! every logical counter; equal modulo documented probe accounting vs the
-//! tuple loop), which the [`evaluator`] docs define precisely.
+//! is semantics-identical to tuple-at-a-time: the [`strand`] tests prove
+//! grouped, ungrouped and per-trigger firing of one batch equal down to
+//! every logical counter, and `tests/properties.rs` proves every
+//! strategy's batched run equal to a run of one-trigger batches — stores
+//! down to sequence numbers, and every non-probe counter.
 
 pub mod aggview;
 pub mod batch;
@@ -135,6 +142,7 @@ pub mod expr;
 mod hash;
 pub mod index;
 pub mod intern;
+pub mod kernel;
 mod key;
 pub mod relation;
 pub mod store;
@@ -145,10 +153,11 @@ pub mod tuple;
 
 pub use aggview::AggregateView;
 pub use batch::{BatchOutput, BatchScratch, BatchTrigger};
-pub use evaluator::{EvalStats, Evaluator, Strategy};
+pub use evaluator::{Evaluator, Strategy};
 pub use expr::{Bindings, EvalError};
 pub use index::{IndexSignature, SecondaryIndex};
 pub use intern::ValueId;
+pub use kernel::{EvalStats, Kernel};
 pub use relation::{InsertOutcome, Relation, RelationSchema};
 pub use store::Store;
 pub use strand::{ColumnSource, CompiledStrand, Derivation, JoinStats, ProbePlan};

@@ -649,6 +649,19 @@ impl Relation {
         InsertOutcome::Replaced(old)
     }
 
+    /// Move a stored tuple's soft-state expiry forward without counting a
+    /// derivation: the refresh a tuple gets when what it was derived from
+    /// is re-announced but its own derivation is not repeated. Absent
+    /// tuples and hard state are left as they are.
+    pub fn refresh(&mut self, tuple: &Tuple, now_micros: u64) {
+        if let (Some(slot), Some(ttl)) = (self.slot_of(tuple), self.schema.ttl_micros) {
+            self.slots[slot as usize]
+                .as_mut()
+                .expect("live slot")
+                .expires_at = Some(now_micros + ttl);
+        }
+    }
+
     /// The slot holding exactly `tuple` (same key and same values).
     fn slot_of(&self, tuple: &Tuple) -> Option<u32> {
         let &slot = self
@@ -1034,6 +1047,18 @@ mod tests {
         let expired = r.expire(2_000_000);
         assert_eq!(expired.len(), 1);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn refresh_extends_expiry_without_counting_a_derivation() {
+        let mut r = Relation::new(RelationSchema::new("r").with_ttl_seconds(1.0));
+        r.insert(t(&[1, 10]), 1, 0);
+        r.refresh(&t(&[1, 10]), 800_000);
+        r.refresh(&t(&[2, 20]), 800_000);
+        assert!(r.expire(1_200_000).is_empty(), "refreshed to 1.8s");
+        assert_eq!(r.len(), 1, "refreshing an absent tuple stores nothing");
+        // One derivation: one deletion removes it.
+        assert_eq!(r.delete(&t(&[1, 10])), DeleteOutcome::Removed);
     }
 
     #[test]

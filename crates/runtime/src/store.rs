@@ -43,25 +43,6 @@ pub enum Applied {
     Replaced(Tuple),
 }
 
-impl ApplyEffect {
-    /// Whether the delta was absorbed.
-    pub fn is_absorbed(&self) -> bool {
-        self.outcome == Applied::Absorbed
-    }
-
-    /// The deltas to propagate, in order, built around the applied delta
-    /// (moved in, not copied).
-    pub fn into_propagation(self, delta: TupleDelta) -> Vec<TupleDelta> {
-        match self.outcome {
-            Applied::Changed => vec![delta],
-            Applied::Absorbed => Vec::new(),
-            Applied::Replaced(old) => {
-                vec![TupleDelta::delete(delta.relation.clone(), old), delta]
-            }
-        }
-    }
-}
-
 impl Store {
     /// An empty store.
     pub fn new() -> Self {
@@ -220,6 +201,15 @@ impl Store {
         ApplyEffect { outcome, seq }
     }
 
+    /// Refresh a stored tuple's soft-state expiry at the current time
+    /// without counting a derivation or consuming a timestamp (see
+    /// [`Relation::refresh`]).
+    pub fn refresh(&mut self, relation: &str, tuple: &Tuple) {
+        if let Some(r) = self.relations.get_mut(relation) {
+            r.refresh(tuple, self.now_micros);
+        }
+    }
+
     /// Expire soft-state tuples across all relations, returning the
     /// corresponding deletion deltas (to be propagated like any other
     /// deletion). Hard-state relations are skipped without a walk.
@@ -339,27 +329,23 @@ mod tests {
         let e1 = store.apply(&d);
         assert_eq!(e1.outcome, Applied::Changed);
         let e2 = store.apply(&d);
-        assert!(e2.is_absorbed(), "duplicate derivation is absorbed");
+        assert_eq!(e2.outcome, Applied::Absorbed, "duplicate derivation");
         assert!(e2.seq > e1.seq);
 
         let del = TupleDelta::delete("r", t(&[1, 2]));
         let e3 = store.apply(&del);
-        assert!(e3.is_absorbed(), "count drops from 2 to 1");
-        let e4 = store.apply(&del);
-        assert_eq!(e4.into_propagation(del.clone()), vec![del.clone()]);
+        assert_eq!(e3.outcome, Applied::Absorbed, "count drops from 2 to 1");
+        assert_eq!(store.apply(&del).outcome, Applied::Changed);
         assert_eq!(store.count("r"), 0);
     }
 
     #[test]
-    fn apply_replacement_emits_delete_and_insert() {
+    fn apply_replacement_reports_the_old_tuple() {
         let mut store = Store::new();
         store.ensure(RelationSchema::new("best").with_keys(vec![0]));
         store.apply(&TupleDelta::insert("best", t(&[1, 10])));
         let insert = TupleDelta::insert("best", t(&[1, 5]));
-        let propagate = store.apply(&insert).into_propagation(insert.clone());
-        assert_eq!(propagate.len(), 2);
-        assert_eq!(propagate[0], TupleDelta::delete("best", t(&[1, 10])));
-        assert_eq!(propagate[1], insert);
+        assert_eq!(store.apply(&insert).outcome, Applied::Replaced(t(&[1, 10])));
         assert_eq!(store.tuples("best"), vec![t(&[1, 5])]);
     }
 
@@ -367,7 +353,7 @@ mod tests {
     fn deleting_missing_tuple_is_silent() {
         let mut store = Store::new();
         let e = store.apply(&TupleDelta::delete("r", t(&[9])));
-        assert!(e.is_absorbed());
+        assert_eq!(e.outcome, Applied::Absorbed);
     }
 
     #[test]

@@ -199,6 +199,10 @@ impl CompiledStrand {
 
     /// [`CompiledStrand::fire`] with join accounting: probe/scan/examined
     /// counters are accumulated into `stats`.
+    ///
+    /// Nothing in production fires through this tuple-at-a-time path any
+    /// more (every engine fires batches); it stays as the per-strand
+    /// reference the batch paths are tested and benchmarked against.
     pub fn fire_counted(
         &self,
         store: &Store,
@@ -334,9 +338,10 @@ impl CompiledStrand {
     }
 
     /// [`CompiledStrand::fire_batch`] without probe grouping: one index
-    /// lookup per trigger per atom, exactly the PR 4 batch path. Kept as
-    /// the differential reference — its `JoinStats` (including
-    /// `distinct_probes`) equal the tuple-at-a-time path's exactly.
+    /// lookup per trigger per atom. No engine fires through it; it is the
+    /// differential reference in tests — its `JoinStats` (including
+    /// `distinct_probes`) equal the tuple-at-a-time path's exactly — and
+    /// what the micro bench's `indexed_batch_us_per_trigger` measures.
     pub fn fire_batch_ungrouped(
         &self,
         store: &Store,

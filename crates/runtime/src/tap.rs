@@ -17,9 +17,12 @@
 //! the pair would require withholding deltas until the batch ends, which
 //! the session layer — not the tap — is free to do.
 //!
-//! The tap is embedded in [`Evaluator`](crate::Evaluator) and
-//! `NodeEngine`; with no subscribed relations it reduces to one empty-set
-//! membership probe per visibility change.
+//! The tap is embedded in the evaluation kernel ([`crate::Kernel`]), so
+//! the [`Evaluator`](crate::Evaluator) and every `NodeEngine` record
+//! through the same code: sessions subscribe an evaluator's tap to live
+//! queries, and a node's tap is subscribed to its tracked relations — what
+//! it records is the node's change report. With no subscribed relations it
+//! reduces to one empty-set membership probe per visibility change.
 
 use crate::tuple::TupleDelta;
 use std::collections::BTreeSet;

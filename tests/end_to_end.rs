@@ -101,6 +101,30 @@ fn reachability_program_reaches_every_node() {
 }
 
 #[test]
+fn redundant_derivations_are_counted_on_the_distributed_path() {
+    // The overlay has cycles, so a node hears of most reachable pairs from
+    // several neighbours; every repeat after the first is absorbed by the
+    // count algorithm at the receiving node — a redundant derivation under
+    // the kernel's one definition, shared with the centralized evaluator.
+    let overlay = small_overlay();
+    let query_plan = plan(&programs::reachability("")).unwrap();
+    let mut engine = DistributedEngine::new(
+        overlay.graph.clone(),
+        &[query_plan],
+        EngineConfig::default(),
+    )
+    .unwrap();
+    load_links(&mut engine, &overlay, "link", Metric::HopCount);
+    engine.run_to_quiescence().unwrap();
+    let stats = engine.computation_stats();
+    assert!(
+        stats.redundant_derivations > 0,
+        "redundant paths must show up as redundant derivations"
+    );
+    assert!(stats.redundant_derivations <= stats.derivations);
+}
+
+#[test]
 fn hand_written_program_runs_distributed() {
     // A two-rule "neighbor of neighbor" discovery program written inline.
     let src = r#"

@@ -208,133 +208,102 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Batch-delta evaluation — with and without key-grouped probe
-    /// sharing — is semantics-identical to the tuple-at-a-time reference
-    /// loop for every strategy: identical stores (tuples with their
-    /// derivation counts, timestamps and expiries) and identical
-    /// `EvalStats` *modulo probe-count accounting* against the tuple loop.
-    /// The probe counters (`logical_probes`, `distinct_probes`, `scans`,
-    /// `tuples_examined`) are deliberately excluded from the batch-vs-tuple
-    /// comparison: a batch fires every queued delta against one store
-    /// snapshot — buckets are probed before, rather than after, sibling
-    /// insertions that the PSN visibility limit would hide either way —
-    /// and a batch invalidated by a mid-batch removal re-fires its
-    /// remainder, re-counting those probes. Between the grouped and
-    /// ungrouped batch runs, however, the batches are identical, so every
-    /// *logical* counter (`logical_probes`, `scans`, `tuples_examined`)
-    /// must match exactly; grouping may only shrink `distinct_probes`
-    /// (`distinct ≤ logical` everywhere, with equality on the ungrouped
-    /// run). Everything else (iterations, processed tuples, derivations,
-    /// redundant derivations) must match exactly across all three modes,
-    /// as must the final stores down to sequence numbers.
+    /// Every strategy's batched run is semantics-identical to a run of
+    /// one-trigger batches (`Buffered { batch: 1 }`), which fires triggers
+    /// in exactly the order a tuple-at-a-time loop would: identical stores
+    /// (tuples with their derivation counts, timestamps and expiries) and
+    /// identical `derivations`, `redundant_derivations` and
+    /// `tuples_processed`; under PSN, whose iterations are consumed
+    /// triggers, `iterations` match too. The probe counters are
+    /// deliberately not compared: a wide batch fires every queued delta
+    /// against one store snapshot — buckets are probed before, rather than
+    /// after, sibling insertions that the visibility limit hides either way
+    /// — and a batch stopped by a mid-batch removal re-fires its remainder,
+    /// re-counting those probes. Grouped, ungrouped and per-trigger firing
+    /// of one batch are compared counter by counter at the strand level
+    /// (`strand::tests::fire_batch_matches_fire_per_trigger`).
     #[test]
-    fn grouped_and_ungrouped_batches_match_tuple_at_a_time(
+    fn batched_strategies_match_one_trigger_batches(
         edges in edges_strategy(6, 10),
         updates in prop::collection::vec((0u32..6, 0u32..6, 1u8..6u8, prop::bool::ANY), 0..6),
     ) {
         let program = programs::shortest_path("");
+        let run = |strategy: EvalStrategy| {
+            let mut eval = Evaluator::new(&program).unwrap();
+            for &(a, b, c) in &edges {
+                eval.insert_fact("link", link(a, b, f64::from(c)));
+                eval.insert_fact("link", link(b, a, f64::from(c)));
+            }
+            let mut stats = eval.run(strategy).unwrap();
+            // A post-fixpoint burst with deletions exercises the mid-batch
+            // invalidation + DRed path.
+            for &(a, b, c, insert) in &updates {
+                if a == b {
+                    continue;
+                }
+                let delta = if insert {
+                    TupleDelta::insert("link", link(a, b, f64::from(c)))
+                } else {
+                    TupleDelta::delete("link", link(a, b, f64::from(c)))
+                };
+                stats += eval.update(delta).unwrap();
+            }
+            (eval, stats)
+        };
+        let (reference, reference_stats) = run(EvalStrategy::Buffered { batch: 1 });
         for strategy in [
             EvalStrategy::SemiNaive,
             EvalStrategy::Buffered { batch: 2 },
             EvalStrategy::Pipelined,
         ] {
-            let run = |batching: bool, grouping: bool| {
-                let mut eval = Evaluator::new(&program).unwrap();
-                eval.set_batching(batching);
-                eval.set_probe_grouping(grouping);
-                for &(a, b, c) in &edges {
-                    eval.insert_fact("link", link(a, b, f64::from(c)));
-                    eval.insert_fact("link", link(b, a, f64::from(c)));
-                }
-                let mut stats = eval.run(strategy).unwrap();
-                // A post-fixpoint burst with deletions exercises the
-                // mid-batch invalidation + DRed path in the batched runs.
-                for &(a, b, c, insert) in &updates {
-                    if a == b {
-                        continue;
-                    }
-                    let delta = if insert {
-                        TupleDelta::insert("link", link(a, b, f64::from(c)))
-                    } else {
-                        TupleDelta::delete("link", link(a, b, f64::from(c)))
-                    };
-                    stats += eval.update(delta).unwrap();
-                }
-                (eval, stats)
-            };
-            let (grouped, grouped_stats) = run(true, true);
-            let (ungrouped, ungrouped_stats) = run(true, false);
-            let (reference, reference_stats) = run(false, true);
-
-            // Grouped vs ungrouped batches: identical logical probe
-            // accounting, grouping only shrinks the executed lookups.
-            prop_assert_eq!(
-                grouped_stats.logical_probes, ungrouped_stats.logical_probes,
-                "{:?}: logical probe counts diverge under grouping", strategy
-            );
-            prop_assert_eq!(
-                grouped_stats.scans, ungrouped_stats.scans,
-                "{:?}: scan counts diverge under grouping", strategy
-            );
-            prop_assert_eq!(
-                grouped_stats.tuples_examined, ungrouped_stats.tuples_examined,
-                "{:?}: tuples-examined diverge under grouping", strategy
-            );
+            let (this, this_stats) = run(strategy);
             prop_assert!(
-                grouped_stats.distinct_probes <= grouped_stats.logical_probes,
+                this_stats.distinct_probes <= this_stats.logical_probes,
                 "{:?}: distinct probes exceed logical", strategy
             );
-            prop_assert!(
-                reference_stats.distinct_probes <= reference_stats.logical_probes,
-                "{:?}: tuple-path distinct probes exceed logical", strategy
+            if strategy == EvalStrategy::Pipelined {
+                prop_assert_eq!(
+                    this_stats.iterations, reference_stats.iterations,
+                    "{:?}: iteration counts diverge", strategy
+                );
+            }
+            prop_assert_eq!(
+                this_stats.tuples_processed, reference_stats.tuples_processed,
+                "{:?}: processed-tuple counts diverge", strategy
+            );
+            prop_assert_eq!(
+                this_stats.derivations, reference_stats.derivations,
+                "{:?}: derivation counts diverge", strategy
+            );
+            prop_assert_eq!(
+                this_stats.redundant_derivations, reference_stats.redundant_derivations,
+                "{:?}: redundant-derivation counts diverge", strategy
             );
 
-            for (label, this, this_stats) in [
-                ("ungrouped batch", &ungrouped, &ungrouped_stats),
-                ("tuple-at-a-time", &reference, &reference_stats),
-            ] {
+            prop_assert_eq!(
+                this.store().current_seq(),
+                reference.store().current_seq(),
+                "{:?}: timestamp counters diverge", strategy
+            );
+            let names: Vec<String> = reference
+                .store()
+                .relation_names()
+                .map(str::to_string)
+                .collect();
+            let this_names: Vec<String> = this
+                .store()
+                .relation_names()
+                .map(str::to_string)
+                .collect();
+            prop_assert_eq!(&names, &this_names);
+            for name in &names {
+                let a: Vec<_> = this.store().relation(name).unwrap().iter().collect();
+                let b: Vec<_> = reference.store().relation(name).unwrap().iter().collect();
                 prop_assert_eq!(
-                    grouped_stats.iterations, this_stats.iterations,
-                    "{:?}/{}: iteration counts diverge", strategy, label
+                    a, b,
+                    "{:?}: relation {} diverges from one-trigger batches",
+                    strategy, name
                 );
-                prop_assert_eq!(
-                    grouped_stats.tuples_processed, this_stats.tuples_processed,
-                    "{:?}/{}: processed-tuple counts diverge", strategy, label
-                );
-                prop_assert_eq!(
-                    grouped_stats.derivations, this_stats.derivations,
-                    "{:?}/{}: derivation counts diverge", strategy, label
-                );
-                prop_assert_eq!(
-                    grouped_stats.redundant_derivations, this_stats.redundant_derivations,
-                    "{:?}/{}: redundant-derivation counts diverge", strategy, label
-                );
-
-                prop_assert_eq!(
-                    grouped.store().current_seq(),
-                    this.store().current_seq(),
-                    "{:?}/{}: timestamp counters diverge", strategy, label
-                );
-                let names: Vec<String> = this
-                    .store()
-                    .relation_names()
-                    .map(str::to_string)
-                    .collect();
-                let grouped_names: Vec<String> = grouped
-                    .store()
-                    .relation_names()
-                    .map(str::to_string)
-                    .collect();
-                prop_assert_eq!(&names, &grouped_names);
-                for name in &names {
-                    let a: Vec<_> = grouped.store().relation(name).unwrap().iter().collect();
-                    let b: Vec<_> = this.store().relation(name).unwrap().iter().collect();
-                    prop_assert_eq!(
-                        a, b,
-                        "{:?}: relation {} diverges between grouped batch and {}",
-                        strategy, name, label
-                    );
-                }
             }
         }
     }
