@@ -41,7 +41,7 @@ use ndlog_net::sim::{ms, to_seconds, SimTime};
 use ndlog_net::stats::NetStats;
 use ndlog_net::topology::Topology;
 use ndlog_net::{FaultPlan, FaultStats, Message, NodeAddr, SimConfig, Simulator};
-use ndlog_runtime::{EvalError, EvalStats, Sign, Tuple, TupleDelta};
+use ndlog_runtime::{EvalError, EvalStats, Rel, Sign, Tuple, TupleDelta};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -174,7 +174,7 @@ pub struct ResultRecord {
     /// Node at which the result is stored.
     pub node: NodeAddr,
     /// Relation name.
-    pub relation: String,
+    pub relation: Rel,
     /// The tuple.
     pub tuple: Tuple,
     /// Insertion or deletion.
@@ -256,7 +256,7 @@ pub struct DistributedEngine {
     refresh_reannounced: u64,
     /// Insert deltas the fault plan dropped in flight, for the repair
     /// report.
-    dropped_inserts: Vec<(NodeAddr, String, Tuple)>,
+    dropped_inserts: Vec<(NodeAddr, Rel, Tuple)>,
 }
 
 impl DistributedEngine {
@@ -368,7 +368,7 @@ impl DistributedEngine {
     /// destination now — i.e. were healed by a refresh re-send (or an
     /// equivalent re-derivation) as the paper's soft-state story promises.
     pub fn fault_repair_report(&self) -> FaultRepairReport {
-        let distinct: BTreeSet<&(NodeAddr, String, Tuple)> = self.dropped_inserts.iter().collect();
+        let distinct: BTreeSet<&(NodeAddr, Rel, Tuple)> = self.dropped_inserts.iter().collect();
         let repaired = distinct
             .iter()
             .filter(|(dest, relation, tuple)| {

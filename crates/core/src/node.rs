@@ -40,7 +40,7 @@ use ndlog_net::sim::SimTime;
 use ndlog_net::NodeAddr;
 use ndlog_runtime::store::located_relations;
 use ndlog_runtime::{
-    AggregateView, CompiledStrand, EvalError, EvalStats, Kernel, Sign, Store, TupleDelta,
+    AggregateView, CompiledStrand, EvalError, EvalStats, Kernel, Rel, Sign, Store, TupleDelta,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -83,8 +83,10 @@ pub struct NodeEngine {
     /// Store, strands, views, queue, DRed and stats. Its tap is subscribed
     /// to the tracked relations: what it records is the change report.
     kernel: Kernel,
-    /// (selection, index of the aggregate view that tracks its groups).
-    selections: Vec<(AggSelectionSpec, usize)>,
+    /// The aggregate selections of the plans, by relation handle.
+    selections: Vec<(Rel, AggSelectionSpec)>,
+    /// `config.blocked_relations`, resolved to handles.
+    blocked: Vec<Rel>,
     /// Outbound deltas held for periodic flush / message sharing.
     held: Vec<(NodeAddr, TupleDelta)>,
     /// Pool of reusable wire-payload buffers: delivered payloads are
@@ -131,20 +133,26 @@ impl NodeEngine {
                 selections.push((sel.clone(), view_idx));
             }
         }
+        let by_relation: Vec<(Rel, AggSelectionSpec)> = selections
+            .iter()
+            .map(|(sel, _)| (Rel::new(&sel.relation), sel.clone()))
+            .collect();
         let pruning = if config.aggregate_selections {
-            selections.clone()
+            selections
         } else {
             Vec::new()
         };
         let mut kernel = Kernel::new(store, strands, views, pruning, Some(addr));
         for relation in &config.tracked_relations {
-            kernel.tap_mut().subscribe(relation.clone());
+            kernel.tap_mut().subscribe(relation);
         }
+        let blocked = config.blocked_relations.iter().map(Rel::from).collect();
         Ok(NodeEngine {
             addr,
             config,
             kernel,
-            selections,
+            selections: by_relation,
+            blocked,
             held: Vec::new(),
             arena: DeltaArena::default(),
         })
@@ -234,8 +242,7 @@ impl NodeEngine {
     pub fn refresh_refire(&mut self) {
         let store = self.kernel.store();
         let entries: Vec<(TupleDelta, u64)> = store
-            .relation_names()
-            .filter_map(|name| Some((name, store.relation(name)?)))
+            .relations()
             .flat_map(|(name, rel)| {
                 rel.iter()
                     .map(move |s| (TupleDelta::insert(name, s.tuple.clone()), s.seq))
@@ -257,7 +264,7 @@ impl NodeEngine {
         let mut outbound: BTreeMap<NodeAddr, Vec<TupleDelta>> = BTreeMap::new();
         let mut request_flush = false;
         for (dest, delta) in self.kernel.take_outbox() {
-            if self.config.blocked_relations.contains(&delta.relation) {
+            if self.blocked.contains(&delta.relation) {
                 continue;
             }
             let hold_for_sharing = self.config.sharing_delay.is_some();
@@ -265,7 +272,7 @@ impl NodeEngine {
                 && self
                     .selections
                     .iter()
-                    .any(|(sel, _)| sel.relation == delta.relation);
+                    .any(|(relation, _)| *relation == delta.relation);
             if hold_for_sharing || hold_for_periodic {
                 self.held.push((dest, delta));
                 request_flush = true;
@@ -303,21 +310,21 @@ impl NodeEngine {
     pub fn flush(&mut self) -> BTreeMap<NodeAddr, Vec<TupleDelta>> {
         let held = std::mem::take(&mut self.held);
         // Group keys that contain any deletion are exempt from deduplication.
-        let mut has_delete: BTreeSet<(NodeAddr, String, Vec<ndlog_lang::Value>)> = BTreeSet::new();
+        let mut has_delete: BTreeSet<(NodeAddr, Rel, Vec<ndlog_lang::Value>)> = BTreeSet::new();
         for (dest, delta) in &held {
             if delta.sign == Sign::Delete {
                 if let Some(key) = self.group_key(delta) {
-                    has_delete.insert((*dest, delta.relation.clone(), key));
+                    has_delete.insert((*dest, delta.relation, key));
                 }
             }
         }
         // Decide each entry's fate: sent verbatim, or competing for best
         // insertion per (dest, relation, group).
         let mut verbatim = vec![false; held.len()];
-        let mut best: BTreeMap<(NodeAddr, String, Vec<ndlog_lang::Value>), (usize, f64)> =
+        let mut best: BTreeMap<(NodeAddr, Rel, Vec<ndlog_lang::Value>), (usize, f64)> =
             BTreeMap::new();
         for (idx, (dest, delta)) in held.iter().enumerate() {
-            let Some(sel) = self.selection_for(&delta.relation) else {
+            let Some(sel) = self.selection_for(delta.relation) else {
                 verbatim[idx] = true;
                 continue;
             };
@@ -329,7 +336,7 @@ impl NodeEngine {
                 verbatim[idx] = true;
                 continue;
             };
-            let full_key = (*dest, delta.relation.clone(), key);
+            let full_key = (*dest, delta.relation, key);
             if has_delete.contains(&full_key) {
                 verbatim[idx] = true;
                 continue;
@@ -358,15 +365,15 @@ impl NodeEngine {
         out
     }
 
-    fn selection_for(&self, relation: &str) -> Option<&AggSelectionSpec> {
+    fn selection_for(&self, relation: Rel) -> Option<&AggSelectionSpec> {
         self.selections
             .iter()
-            .find(|(sel, _)| sel.relation == relation)
-            .map(|(sel, _)| sel)
+            .find(|(r, _)| *r == relation)
+            .map(|(_, sel)| sel)
     }
 
     fn group_key(&self, delta: &TupleDelta) -> Option<Vec<ndlog_lang::Value>> {
-        let sel = self.selection_for(&delta.relation)?;
+        let sel = self.selection_for(delta.relation)?;
         if sel.group_cols.iter().any(|&c| delta.tuple.get(c).is_none()) {
             return None;
         }

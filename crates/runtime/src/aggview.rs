@@ -31,7 +31,7 @@ use crate::hash::FxHashMap;
 use crate::key::{KeyView, Projection, ValueKey};
 use crate::store::Store;
 use crate::strand::bind_atom;
-use crate::tuple::{Sign, Tuple, TupleDelta};
+use crate::tuple::{Rel, Sign, Tuple, TupleDelta};
 use ndlog_lang::{AggFunc, Atom, Literal, Rule, Term, Value};
 use std::collections::BTreeMap;
 
@@ -50,8 +50,8 @@ enum HeadField {
 #[derive(Debug, Clone)]
 pub struct AggregateView {
     rule_label: String,
-    head_relation: String,
-    source_relation: String,
+    head_relation: Rel,
+    source_relation: Rel,
     func: AggFunc,
     value_col: usize,
     group_cols: Vec<usize>,
@@ -171,8 +171,8 @@ impl AggregateView {
         }
         Ok(AggregateView {
             rule_label: rule.label.clone(),
-            head_relation: rule.head.name.clone(),
-            source_relation: source.name.clone(),
+            head_relation: Rel::new(&rule.head.name),
+            source_relation: Rel::new(&source.name),
             func: agg.func,
             value_col,
             group_cols,
@@ -184,13 +184,13 @@ impl AggregateView {
     }
 
     /// The relation whose deltas feed this view.
-    pub fn source_relation(&self) -> &str {
-        &self.source_relation
+    pub fn source_relation(&self) -> Rel {
+        self.source_relation
     }
 
     /// The relation this view derives.
-    pub fn head_relation(&self) -> &str {
-        &self.head_relation
+    pub fn head_relation(&self) -> Rel {
+        self.head_relation
     }
 
     /// The label of the originating rule.
@@ -337,7 +337,7 @@ impl AggregateView {
         } else {
             self.groups.insert(ValueKey(key.into()), state);
         }
-        new_head.map(|t| TupleDelta::insert(self.head_relation.clone(), t))
+        new_head.map(|t| TupleDelta::insert(self.head_relation, t))
     }
 
     fn head_tuple(&self, key: &[Value], agg_value: &Value) -> Tuple {
@@ -360,7 +360,7 @@ impl AggregateView {
             self.group_cols.iter().copied().collect();
         if !group_sig.is_empty() {
             out.push((
-                self.source_relation.clone(),
+                self.source_relation.to_string(),
                 group_sig.into_iter().collect(),
             ));
         }
@@ -489,10 +489,10 @@ impl AggregateView {
             .map(|v| head_tuple(&self.head_template, &self.group_cols, &view, v));
         let mut out = Vec::with_capacity(2);
         if let Some(old) = old_head {
-            out.push(TupleDelta::delete(self.head_relation.clone(), old));
+            out.push(TupleDelta::delete(self.head_relation, old));
         }
         if let Some(new) = &new_head {
-            out.push(TupleDelta::insert(self.head_relation.clone(), new.clone()));
+            out.push(TupleDelta::insert(self.head_relation, new.clone()));
         }
         // Update (or drop) the group state.
         if group.total == 0 {

@@ -64,7 +64,7 @@ use crate::relation::StoredTuple;
 use crate::store::Store;
 use crate::strand::{Derivation, ProbePlan};
 use crate::subplan::ProbeCache;
-use crate::tuple::{Tuple, TupleDelta};
+use crate::tuple::{Rel, Tuple, TupleDelta};
 use ndlog_lang::seminaive::DeltaRule;
 use ndlog_lang::{Atom, Expr, Literal, Term, Value};
 use std::collections::BTreeMap;
@@ -127,7 +127,7 @@ enum HeadSource {
 #[derive(Debug, Clone, PartialEq)]
 enum Stage {
     Probe {
-        relation: String,
+        relation: Rel,
         /// Sorted bound columns to probe on (empty = full scan); mirrors
         /// the strand's [`ProbePlan`].
         cols: Vec<usize>,
@@ -187,7 +187,7 @@ pub struct BatchPlan {
     /// `Some` iff the last stage is a probe: the head re-expressed against
     /// (pre-final row, candidate), enabling final-stage fusion.
     fused_head: Option<Vec<FusedSource>>,
-    head_relation: String,
+    head_relation: Rel,
 }
 
 /// Reusable flat buffers for batch firing: environment rows (`width`
@@ -226,6 +226,10 @@ pub struct BatchOutput {
     derivations: Vec<Derivation>,
     /// `offsets[i]..offsets[i + 1]` bounds trigger `i`'s derivations.
     offsets: Vec<usize>,
+    /// Reusable head-projection buffer: each head tuple is projected here
+    /// and moved out into its own single allocation
+    /// ([`Tuple::from_drain`]).
+    head: Vec<Value>,
 }
 
 impl BatchOutput {
@@ -310,7 +314,7 @@ pub(crate) fn compile(rule: &DeltaRule, plans: &[Option<ProbePlan>]) -> BatchPla
                 };
                 let (ops, reject_all) = compile_atom_ops(atom, &cols, &mut slots, &mut slot_of);
                 stages.push(Stage::Probe {
-                    relation: atom.name.clone(),
+                    relation: Rel::new(&atom.name),
                     cols,
                     key,
                     arity: atom.arity(),
@@ -388,7 +392,7 @@ pub(crate) fn compile(rule: &DeltaRule, plans: &[Option<ProbePlan>]) -> BatchPla
         stages,
         head,
         fused_head,
-        head_relation: rule.rule.head.name.clone(),
+        head_relation: Rel::new(&rule.rule.head.name),
     }
 }
 
@@ -529,7 +533,7 @@ fn build_probe_key(key: &[SlotSource], row: &[Option<Value>], out: &mut Vec<Valu
 #[allow(clippy::too_many_arguments)]
 fn group_and_probe<'r>(
     stored: &'r crate::relation::Relation,
-    relation: &str,
+    relation: Rel,
     width: usize,
     rows: &[Option<Value>],
     origins: &[u32],
@@ -744,7 +748,7 @@ impl BatchPlan {
                     if let (Some(stored), true) = (stored, share) {
                         group_and_probe(
                             stored,
-                            relation,
+                            *relation,
                             width,
                             rows,
                             origins,
@@ -896,7 +900,7 @@ impl BatchPlan {
                 // unless a cross-rule cache is armed (see above).
                 group_and_probe(
                     stored,
-                    relation,
+                    *relation,
                     width,
                     rows,
                     origins,
@@ -926,7 +930,7 @@ impl BatchPlan {
                         }
                         emit_fused(
                             fused_head,
-                            &self.head_relation,
+                            self.head_relation,
                             row,
                             candidate,
                             origin,
@@ -951,7 +955,7 @@ impl BatchPlan {
                         if apply_ops(ops, &candidate.tuple, probe_row) {
                             emit_fused(
                                 fused_head,
-                                &self.head_relation,
+                                self.head_relation,
                                 row,
                                 candidate,
                                 origin,
@@ -974,7 +978,8 @@ impl BatchPlan {
                     next_trigger += 1;
                 }
                 let row = &scratch.rows[r * width..(r + 1) * width];
-                let mut values = Vec::with_capacity(self.head.len());
+                let values = &mut out.head;
+                values.clear();
                 for source in &self.head {
                     match source {
                         HeadSource::Const(c) => values.push(c.clone()),
@@ -995,11 +1000,11 @@ impl BatchPlan {
                         }
                     }
                 }
-                let tuple = Tuple::new(values);
+                let tuple = Tuple::from_drain(values);
                 let location = tuple.location();
                 out.derivations.push(Derivation {
                     delta: TupleDelta {
-                        relation: self.head_relation.clone(),
+                        relation: self.head_relation,
                         tuple,
                         sign: triggers[origin].delta.sign,
                     },
@@ -1032,7 +1037,7 @@ fn recycle<'b, T>(mut buf: Vec<&T>) -> Vec<&'b T> {
 #[allow(clippy::too_many_arguments)]
 fn emit_fused(
     sources: &[FusedSource],
-    head_relation: &str,
+    head_relation: Rel,
     row: &[Option<Value>],
     candidate: &StoredTuple,
     origin: usize,
@@ -1044,7 +1049,8 @@ fn emit_fused(
         out.offsets.push(out.derivations.len());
         *next_trigger += 1;
     }
-    let mut values = Vec::with_capacity(sources.len());
+    let values = &mut out.head;
+    values.clear();
     for source in sources {
         match source {
             FusedSource::Const(c) => values.push(c.clone()),
@@ -1064,11 +1070,11 @@ fn emit_fused(
             }
         }
     }
-    let tuple = Tuple::new(values);
+    let tuple = Tuple::from_drain(values);
     let location = tuple.location();
     out.derivations.push(Derivation {
         delta: TupleDelta {
-            relation: head_relation.to_string(),
+            relation: head_relation,
             tuple,
             sign: triggers[origin].delta.sign,
         },

@@ -50,7 +50,7 @@ use crate::expr::EvalError;
 use crate::index::JoinStats;
 use crate::store::Store;
 use crate::strand::CompiledStrand;
-use crate::tuple::{Sign, Tuple, TupleDelta};
+use crate::tuple::{Rel, Sign, Tuple, TupleDelta};
 use ndlog_lang::{Literal, Term, Value};
 use ndlog_net::NodeAddr;
 use std::collections::{BTreeMap, BTreeSet};
@@ -87,9 +87,9 @@ impl Marking {
 /// closure frontier.
 fn mark(
     store: &Store,
-    relation: String,
+    relation: Rel,
     tuple: Tuple,
-    marked: &mut BTreeSet<(String, Tuple)>,
+    marked: &mut BTreeSet<(Rel, Tuple)>,
     order: &mut Vec<TupleDelta>,
     frontier: &mut Vec<TupleDelta>,
 ) {
@@ -99,7 +99,7 @@ fn mark(
     if !stored {
         return;
     }
-    if marked.insert((relation.clone(), tuple.clone())) {
+    if marked.insert((relation, tuple.clone())) {
         let delta = TupleDelta::delete(relation, tuple);
         order.push(delta.clone());
         frontier.push(delta);
@@ -145,12 +145,12 @@ pub fn over_delete(
     self_addr: Option<NodeAddr>,
     stats: &mut JoinStats,
 ) -> Result<Marking, EvalError> {
-    let mut marked: BTreeSet<(String, Tuple)> = BTreeSet::new();
+    let mut marked: BTreeSet<(Rel, Tuple)> = BTreeSet::new();
     let mut order: Vec<TupleDelta> = Vec::new();
     let mut frontier: Vec<TupleDelta> = Vec::new();
     for seed in seeds {
         debug_assert_eq!(seed.sign, Sign::Delete);
-        if marked.insert((seed.relation.clone(), seed.tuple.clone())) {
+        if marked.insert((seed.relation, seed.tuple.clone())) {
             order.push(seed.clone());
             frontier.push(seed);
         }
@@ -165,14 +165,14 @@ pub fn over_delete(
     // winner — stay as they are.
     let now = store.now_micros();
     let seq = store.current_seq();
-    let mut temporarily_restored: Vec<(String, Tuple)> = Vec::new();
+    let mut temporarily_restored: Vec<(Rel, Tuple)> = Vec::new();
     for delta in &order {
         let Some(relation) = store.relation_mut(&delta.relation) else {
             continue;
         };
         if relation.get_by_key_of(&delta.tuple).is_none() {
             relation.insert(delta.tuple.clone(), seq, now);
-            temporarily_restored.push((delta.relation.clone(), delta.tuple.clone()));
+            temporarily_restored.push((delta.relation, delta.tuple.clone()));
         }
     }
 
@@ -203,7 +203,7 @@ pub fn over_delete(
                         if let Some(out) = view.current_output(&key).cloned() {
                             mark(
                                 store,
-                                view.head_relation().to_string(),
+                                view.head_relation(),
                                 out,
                                 &mut marked,
                                 &mut order,
@@ -360,7 +360,7 @@ pub fn rederive_inserts(
         if !feasible {
             continue;
         }
-        let Some(trigger_relation) = store.relation(strand.trigger_relation()) else {
+        let Some(trigger_relation) = store.relation(&strand.trigger_relation()) else {
             continue;
         };
         // The pinned trigger columns come from the same planner metadata
@@ -384,7 +384,7 @@ pub fn rederive_inserts(
         );
         let candidates: Vec<TupleDelta> = trigger_relation
             .lookup(&cols, &vals, u64::MAX, stats)
-            .map(|s| TupleDelta::insert(strand.trigger_relation().to_string(), s.tuple.clone()))
+            .map(|s| TupleDelta::insert(strand.trigger_relation(), s.tuple.clone()))
             .collect();
         if candidates.is_empty() {
             continue;
@@ -471,7 +471,7 @@ mod tests {
         let marked: BTreeSet<(String, Tuple)> = marking
             .rederive_candidates()
             .iter()
-            .map(|d| (d.relation.clone(), d.tuple.clone()))
+            .map(|d| (d.relation.to_string(), d.tuple.clone()))
             .collect();
         assert!(marked.contains(&("reach".to_string(), edge(1, 2))));
         assert!(marked.contains(&("reach".to_string(), edge(0, 2))));

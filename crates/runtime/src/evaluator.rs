@@ -136,8 +136,7 @@ impl Evaluator {
     /// Queue a base fact for the next [`Evaluator::run`] (does not run
     /// evaluation).
     pub fn insert_fact(&mut self, relation: &str, tuple: Tuple) {
-        self.base_facts
-            .push(TupleDelta::insert(relation.to_string(), tuple));
+        self.base_facts.push(TupleDelta::insert(relation, tuple));
     }
 
     /// Run the program to fixpoint from the currently loaded base facts.
@@ -662,7 +661,7 @@ mod tests {
     fn replay(events: &[TupleDelta]) -> BTreeSet<(String, Tuple)> {
         let mut set = BTreeSet::new();
         for event in events {
-            let key = (event.relation.clone(), event.tuple.clone());
+            let key = (event.relation.to_string(), event.tuple.clone());
             match event.sign {
                 Sign::Insert => assert!(set.insert(key), "double insert of {event}"),
                 Sign::Delete => assert!(set.remove(&key), "retract of absent {event}"),

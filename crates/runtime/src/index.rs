@@ -39,14 +39,16 @@
 //!
 //! # Interned keys, dense buckets
 //!
-//! Bucket keys are **interned**: a projection is mapped through the global
-//! [`crate::intern`] table to a fixed-size `[ValueId]`, so maintaining or
+//! Bucket keys are **interned**: a projection is mapped through the owning
+//! relation's [`Interner`] to a fixed-size `[ValueId]`, so maintaining or
 //! probing an index hashes and compares `u32` ids instead of whole values
 //! (a path-vector column no longer walks its list per index operation),
-//! and the bucket map never clones projected `Value`s. Probe keys and
-//! removals use the read-only [`crate::intern::lookup`] path: a
-//! never-interned value cannot match any stored tuple, so the probe
-//! answers "empty" without growing the table.
+//! and the bucket map never clones projected `Value`s. The relation passes
+//! its interner to every call that maps values to ids; an index never
+//! sees ids from another relation's table. Probe keys and removals use
+//! the read-only [`Interner::lookup_into`] path: a never-interned value
+//! cannot match any stored tuple, so the probe answers "empty" without
+//! growing the table.
 //!
 //! Each [`Bucket`] holds its members in two dense arrays, both sorted by
 //! primary-key *value* (never by id), so probe results iterate in
@@ -87,7 +89,7 @@
 //! environment, so the two counters coincide.
 
 use crate::hash::FxHashMap;
-use crate::intern::{self, ValueId};
+use crate::intern::{Interner, ValueId};
 use ndlog_lang::Value;
 use std::sync::Arc;
 
@@ -349,12 +351,18 @@ impl SecondaryIndex {
     /// key. Returns whether an entry was actually removed (false indicates
     /// the index was already consistent, e.g. a stale-deletion no-op, or a
     /// tuple too short to have been filed). Resolves the projection
-    /// read-only: a projection containing a never-interned value cannot
-    /// have an entry, so removals never grow the intern table.
-    pub fn remove(&mut self, tuple_values: &[Value], primary_key: &[Value]) -> bool {
+    /// read-only through the relation's `interner`: a projection containing
+    /// a never-interned value cannot have an entry, so removals never grow
+    /// the table.
+    pub fn remove(
+        &mut self,
+        interner: &Interner,
+        tuple_values: &[Value],
+        primary_key: &[Value],
+    ) -> bool {
         let cols = self.signature.columns();
         if cols.last().is_some_and(|&c| c >= tuple_values.len())
-            || !intern::lookup_into(cols.iter().map(|&c| &tuple_values[c]), &mut self.scratch)
+            || !interner.lookup_into(cols.iter().map(|&c| &tuple_values[c]), &mut self.scratch)
         {
             return false;
         }
@@ -378,33 +386,45 @@ impl SecondaryIndex {
     }
 
     /// The bucket for one projection (the probe values in signature
-    /// order), if any.
-    pub fn bucket(&self, key_values: &[Value]) -> Option<&Bucket> {
-        self.bucket_by(key_values.iter())
+    /// order), if any, resolved through the relation's `interner`.
+    pub fn bucket(&self, interner: &Interner, key_values: &[Value]) -> Option<&Bucket> {
+        self.bucket_by(interner, key_values.iter())
     }
 
     /// The bucket a lookup binding `cols` (sorted, covering this index's
     /// signature) to the parallel `key` values probes: the signature's
     /// values are picked out of the key in place, never projected into a
     /// temporary.
-    pub fn bucket_for(&self, cols: &[usize], key: &[Value]) -> Option<&Bucket> {
-        self.bucket_by(self.signature.columns().iter().map(|c| {
-            let pos = cols.binary_search(c).expect("covered signature");
-            &key[pos]
-        }))
+    pub fn bucket_for(
+        &self,
+        interner: &Interner,
+        cols: &[usize],
+        key: &[Value],
+    ) -> Option<&Bucket> {
+        self.bucket_by(
+            interner,
+            self.signature.columns().iter().map(|c| {
+                let pos = cols.binary_search(c).expect("covered signature");
+                &key[pos]
+            }),
+        )
     }
 
-    /// Resolve probe values through the read-only interner path (one lock
-    /// per probe, a reusable thread-local id buffer, no allocation), so a
-    /// never-stored value answers `None` without growing the intern table.
-    fn bucket_by<'v>(&self, values: impl Iterator<Item = &'v Value>) -> Option<&Bucket> {
+    /// Resolve probe values through the read-only interner path (a
+    /// reusable thread-local id buffer, no allocation), so a never-stored
+    /// value answers `None` without growing the table.
+    fn bucket_by<'v>(
+        &self,
+        interner: &Interner,
+        values: impl Iterator<Item = &'v Value>,
+    ) -> Option<&Bucket> {
         thread_local! {
             static PROBE_IDS: std::cell::RefCell<Vec<ValueId>> =
                 const { std::cell::RefCell::new(Vec::new()) };
         }
         PROBE_IDS.with(|ids| {
             let mut ids = ids.borrow_mut();
-            if !intern::lookup_into(values, &mut ids) {
+            if !interner.lookup_into(values, &mut ids) {
                 return None;
             }
             self.buckets.get(ids.as_slice())
@@ -420,7 +440,6 @@ impl SecondaryIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::Tuple;
 
     fn vals(xs: &[i64]) -> Vec<Value> {
         xs.iter().map(|&x| Value::Int(x)).collect()
@@ -430,26 +449,45 @@ mod tests {
         vals(xs).into()
     }
 
+    /// An index under test with the interner its relation would own.
+    struct Indexed {
+        idx: SecondaryIndex,
+        interner: Interner,
+    }
+
+    fn index(cols: &[usize]) -> Indexed {
+        Indexed {
+            idx: SecondaryIndex::new(IndexSignature::new(cols)),
+            interner: Interner::new(),
+        }
+    }
+
     /// File `tuple` (which doubles as its own primary key, as in keyless
     /// relations) with a synthetic seq.
-    fn add(idx: &mut SecondaryIndex, tuple: &[i64], seq: u64) {
-        let t = Tuple::new(vals(tuple));
-        let refs: Vec<&Value> = t.values().iter().collect();
+    fn add(ix: &mut Indexed, tuple: &[i64], seq: u64) {
         let mut ids = Vec::new();
-        intern::intern_into(&refs, &mut ids);
-        idx.add(&ids, key(tuple), seq, 0);
+        ix.interner.intern_all_into(&vals(tuple), &mut ids);
+        ix.idx.add(&ids, key(tuple), seq, 0);
+    }
+
+    fn bucket<'a>(ix: &'a Indexed, key: &[i64]) -> Option<&'a Bucket> {
+        ix.idx.bucket(&ix.interner, &vals(key))
     }
 
     /// The member keys filed under `key` (empty when no bucket).
-    fn keys(idx: &SecondaryIndex, key: &[i64]) -> Vec<Vec<Value>> {
-        idx.bucket(&vals(key)).map_or_else(Vec::new, |b| {
+    fn keys(ix: &Indexed, key: &[i64]) -> Vec<Vec<Value>> {
+        bucket(ix, key).map_or_else(Vec::new, |b| {
             (0..b.len()).map(|i| b.key(i).to_vec()).collect()
         })
     }
 
-    fn remove(idx: &mut SecondaryIndex, tuple: &[i64]) -> bool {
+    fn remove(ix: &mut Indexed, tuple: &[i64]) -> bool {
         let t = vals(tuple);
-        idx.remove(&t, &t)
+        ix.idx.remove(&ix.interner, &t, &t)
+    }
+
+    fn id(ix: &Indexed, v: i64) -> Option<ValueId> {
+        ix.interner.lookup(&Value::Int(v))
     }
 
     #[test]
@@ -463,12 +501,12 @@ mod tests {
 
     #[test]
     fn add_probe_remove_roundtrip() {
-        let mut idx = SecondaryIndex::new(IndexSignature::new(&[0]));
+        let mut idx = index(&[0]);
         add(&mut idx, &[1, 10], 1);
         add(&mut idx, &[1, 20], 2);
         add(&mut idx, &[2, 30], 3);
-        assert_eq!(idx.len(), 3);
-        assert_eq!(idx.bucket_count(), 2);
+        assert_eq!(idx.idx.len(), 3);
+        assert_eq!(idx.idx.bucket_count(), 2);
 
         assert_eq!(keys(&idx, &[1]), vec![vals(&[1, 10]), vals(&[1, 20])]);
         assert!(keys(&idx, &[9]).is_empty());
@@ -477,27 +515,27 @@ mod tests {
         assert!(!remove(&mut idx, &[1, 10]), "double remove is a no-op");
         assert_eq!(keys(&idx, &[1]).len(), 1);
         assert!(remove(&mut idx, &[1, 20]));
-        assert_eq!(idx.bucket_count(), 1, "empty buckets are dropped");
+        assert_eq!(idx.idx.bucket_count(), 1, "empty buckets are dropped");
         assert!(remove(&mut idx, &[2, 30]));
-        assert!(idx.is_empty());
+        assert!(idx.idx.is_empty());
     }
 
     #[test]
     fn duplicate_add_is_idempotent() {
-        let mut idx = SecondaryIndex::new(IndexSignature::new(&[1]));
+        let mut idx = index(&[1]);
         add(&mut idx, &[0, 5], 1);
         add(&mut idx, &[0, 5], 2);
-        assert_eq!(idx.len(), 1);
-        let bucket = idx.bucket(&vals(&[5])).unwrap();
+        assert_eq!(idx.idx.len(), 1);
+        let bucket = bucket(&idx, &[5]).unwrap();
         assert_eq!(bucket.seq(0), 1, "the original entry keeps its seq");
     }
 
     #[test]
     fn buckets_are_dense_and_carry_seqs() {
-        let mut idx = SecondaryIndex::new(IndexSignature::new(&[1]));
+        let mut idx = index(&[1]);
         add(&mut idx, &[7, 3, 40], 11);
         add(&mut idx, &[5, 3, 30], 12);
-        let bucket = idx.bucket(&vals(&[3])).unwrap();
+        let bucket = bucket(&idx, &[3]).unwrap();
         assert!(bucket.has_ids());
         assert_eq!(bucket.arity(), 3);
         assert_eq!(bucket.len(), 2);
@@ -505,48 +543,52 @@ mod tests {
         assert_eq!(bucket.key(0).as_ref(), &vals(&[5, 3, 30])[..]);
         assert_eq!(bucket.seq(0), 12);
         assert_eq!(bucket.seq(1), 11);
-        // The dense ids are parallel to the keys and resolve back to the
-        // stored values.
-        assert_eq!(intern::resolve(bucket.id(0, 2).unwrap()), Value::Int(30));
-        assert_eq!(intern::resolve(bucket.id(1, 2).unwrap()), Value::Int(40));
-        assert_eq!(intern::resolve(bucket.id(1, 0).unwrap()), Value::Int(7));
+        // The dense ids are parallel to the keys and are the relation's
+        // ids of the stored values.
+        assert_eq!(bucket.id(0, 2), id(&idx, 30));
+        assert_eq!(bucket.id(1, 2), id(&idx, 40));
+        assert_eq!(bucket.id(1, 0), id(&idx, 7));
         assert!(bucket.id(0, 3).is_none());
         assert!(remove(&mut idx, &[5, 3, 30]));
-        let bucket = idx.bucket(&vals(&[3])).unwrap();
-        assert_eq!(intern::resolve(bucket.id(0, 2).unwrap()), Value::Int(40));
+        let bucket = self::bucket(&idx, &[3]).unwrap();
+        assert_eq!(bucket.id(0, 2), id(&idx, 40));
     }
 
     #[test]
     fn mixed_arity_bucket_degrades_but_stays_correct() {
-        let mut idx = SecondaryIndex::new(IndexSignature::new(&[0]));
+        let mut idx = index(&[0]);
         add(&mut idx, &[9, 1], 1);
         add(&mut idx, &[9, 1, 2], 2);
-        let bucket = idx.bucket(&vals(&[9])).unwrap();
+        let bucket = bucket(&idx, &[9]).unwrap();
         assert!(!bucket.has_ids(), "mixed arities degrade the bucket");
         assert_eq!(bucket.len(), 2);
         assert_eq!(keys(&idx, &[9]).len(), 2);
         assert!(remove(&mut idx, &[9, 1]));
         assert!(remove(&mut idx, &[9, 1, 2]));
-        assert!(idx.is_empty());
+        assert!(idx.idx.is_empty());
     }
 
     #[test]
     fn short_tuples_stay_unindexed() {
-        let mut idx = SecondaryIndex::new(IndexSignature::new(&[2]));
+        let mut idx = index(&[2]);
         add(&mut idx, &[1], 1);
-        assert!(idx.is_empty(), "tuples lacking the column are skipped");
+        assert!(idx.idx.is_empty(), "tuples lacking the column are skipped");
         add(&mut idx, &[1, 2, 3], 2);
-        assert_eq!(idx.len(), 1);
+        assert_eq!(idx.idx.len(), 1);
     }
 
     #[test]
     fn never_interned_probe_value_is_an_empty_bucket() {
-        let mut idx = SecondaryIndex::new(IndexSignature::new(&[0]));
+        let mut idx = index(&[0]);
         add(&mut idx, &[3, 1], 1);
         // A value that was never stored anywhere cannot match; the probe
         // must answer without interning it.
-        let novel = Value::str("index-test-never-stored-77ab");
-        assert!(idx.bucket(std::slice::from_ref(&novel)).is_none());
-        assert_eq!(crate::intern::lookup(&novel), None);
+        let novel = Value::str("index-test-never-stored");
+        assert!(idx
+            .idx
+            .bucket(&idx.interner, std::slice::from_ref(&novel))
+            .is_none());
+        assert_eq!(idx.interner.lookup(&novel), None);
+        assert_eq!(idx.interner.len(), 2);
     }
 }

@@ -1,62 +1,77 @@
-//! A global, thread-safe [`Value`] interner.
+//! The [`Value`] interner behind a relation's secondary indexes.
 //!
 //! Secondary-index maintenance used to clone every bound-column projection
 //! into an owned `Vec<Value>` bucket key, and every bucket lookup hashed
 //! and compared whole values — for path vectors that means walking an
-//! entire list per index operation. The interner collapses each distinct
-//! value to a fixed-size [`ValueId`] once, so index buckets hash and
-//! compare `u32`s instead of values (see [`crate::index`]).
+//! entire list per index operation. An [`Interner`] collapses each
+//! distinct value to a fixed-size [`ValueId`] once, so index buckets hash
+//! and compare `u32`s instead of values (see [`crate::index`]).
+//!
+//! # Scope
+//!
+//! Each [`crate::relation::Relation`] owns one interner, and every id its
+//! indexes hold — bucket keys, dense member payloads, probe keys, residual
+//! checks, the pinned location — comes from that interner. An id means
+//! nothing outside its relation, and nothing ever carries one across
+//! relations. The interner is plain owned data: no lock, no sharing
+//! between executor lanes, so interning a stored tuple on one lane never
+//! contends with a probe on another.
 //!
 //! # Semantics
 //!
-//! Id equality is exactly [`Value`] equality: two values intern to the same
-//! id if and only if `a == b`. Note that `Value`'s equality conflates
-//! numerically equal integers and floats (`Int(3) == Float(3.0)`), so both
-//! intern to one id — precisely the behaviour hash-map bucket keys had
-//! before interning, which is what keeps probes on mixed-numeric keys
-//! finding their tuples. `resolve` returns a value equal (in that same
-//! sense) to every value that interned to the id.
+//! Id equality is exactly [`Value`] equality within one interner: two
+//! values intern to the same id if and only if `a == b`. Note that
+//! `Value`'s equality conflates numerically equal integers and floats
+//! (`Int(3) == Float(3.0)`), so both intern to one id — precisely the
+//! behaviour hash-map bucket keys had before interning, which is what keeps
+//! probes on mixed-numeric keys finding their tuples.
 //!
 //! # Determinism
 //!
-//! Ids are assigned in first-intern order, so they are **stable within a
-//! run** (an id never changes or is reused) but carry no meaning across
-//! runs and no relationship to `Value`'s ordering. Nothing ordered by ids
-//! is ever externally observable: ids key hash maps only, while every
-//! iteration order the engines expose (stored tuples, probe results) is
-//! still governed by `Value`/primary-key order. Concurrent interning from
-//! multiple executor threads may assign ids in different orders on
-//! different runs without affecting any result — which is why the parallel
-//! engine stays bit-for-bit identical to the sequential one.
+//! Ids are assigned in first-intern order, so they are **stable for the
+//! life of the table** (an id never changes or is reused until the table
+//! is cleared) but carry no meaning across relations or runs and no
+//! relationship to `Value`'s ordering. Nothing ordered by ids is ever
+//! externally observable: ids key hash maps and are compared for equality
+//! only, while every iteration order the engines expose (stored tuples,
+//! probe results) is governed by `Value`/primary-key order. Scoping ids to
+//! a relation therefore changes no result, and the parallel engine stays
+//! bit-for-bit identical to the sequential one.
 //!
-//! # Lifetime and leak policy
+//! # Lifetime and growth
 //!
-//! Interned values are never freed: the table lives for the process and
-//! grows with the set of distinct values **ever stored in a relation that
-//! materializes a secondary index**. A bucket carries every column of its
-//! members as ids, so such a relation's write path ([`intern_all_into`])
-//! interns whole tuples, not just the signature projections. Relations
-//! whose lookups are all served by point lookups or location walks (see
-//! [`crate::index`]) build no index and intern nothing — on the paper's
-//! shortest-path program, the aggregate and result tables. A pinned
-//! relation interns its node's address once. Under churn workloads the
-//! table tracks the cumulative history, not the currently stored data, so
-//! a very-long-running engine minting fresh values every burst (unique
-//! costs, fresh path vectors) trades memory for the id fast path (an
-//! explicit, documented trade; epoch-based reclamation is a possible
-//! follow-on). Every non-storing path — probe keys, residual checks and
-//! index removals — uses [`lookup`] or [`lookup_into`] (read-only): a
+//! An interner lives as long as its relation. Interned values are not
+//! freed one by one: the table grows with the distinct values **ever
+//! stored in its relation** while that relation materializes a secondary
+//! index — a bucket carries every column of its members as ids, so the
+//! write path ([`Interner::intern_all_into`]) interns whole tuples, not
+//! just the signature projections. Relations whose lookups are all served
+//! by point lookups or location walks (see [`crate::index`]) build no
+//! index and intern nothing — on the paper's shortest-path program, the
+//! aggregate and result tables; a pinned relation interns its node's
+//! address once. The table is emptied, releasing every value it held,
+//! when the relation is cleared (a node's crash reset,
+//! [`crate::relation::Relation::clear`]; the capacity is kept for the
+//! rejoin), and freed when the relation is dropped (with its engine).
+//! Between those points, a relation churning through fresh values (unique
+//! costs, fresh path vectors) keeps the ids of values it no longer stores:
+//! memory traded for the id fast path, bounded per relation by its own
+//! history rather than by the whole process's. Reclaiming unreferenced ids
+//! in place is a possible follow-on.
+//!
+//! Every non-storing path — probe keys, residual checks and index removals
+//! — uses [`Interner::lookup`] or [`Interner::lookup_into`] (read-only): a
 //! value that was never interned cannot match any indexed tuple, so a miss
 //! simply means "no bucket". The table is hashed with the engine's fast
-//! internal hasher (ids are assigned in first-intern order, never by
-//! hash, so the hasher cannot affect any id or result).
+//! internal hasher (ids are assigned in first-intern order, never by hash,
+//! so the hasher cannot affect any id or result).
 
 use crate::hash::FxHashMap;
 use ndlog_lang::Value;
-use std::sync::{OnceLock, RwLock};
 
-/// A fixed-size handle to an interned [`Value`]. Id equality is `Value`
-/// equality (see the module docs for the numeric-conflation caveat).
+/// A fixed-size handle to a value interned by one [`Interner`]. Id
+/// equality is `Value` equality within that interner (see the module docs
+/// for the numeric-conflation caveat).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ValueId(u32);
 
@@ -67,117 +82,79 @@ impl ValueId {
     }
 }
 
-#[derive(Default)]
-struct Inner {
+/// A relation's value → id table (see the module docs).
+#[derive(Debug, Clone, Default)]
+pub struct Interner {
     ids: FxHashMap<Value, u32>,
-    values: Vec<Value>,
 }
 
-fn table() -> &'static RwLock<Inner> {
-    static TABLE: OnceLock<RwLock<Inner>> = OnceLock::new();
-    TABLE.get_or_init(|| RwLock::new(Inner::default()))
-}
+impl Interner {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
 
-/// Intern a value, assigning a fresh id on first sight. Idempotent and
-/// thread-safe; the common re-intern case takes only a read lock.
-pub fn intern(value: &Value) -> ValueId {
-    {
-        let inner = table().read().expect("interner lock");
-        if let Some(&id) = inner.ids.get(value) {
+    /// Number of interned values.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether nothing is interned.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Forget every value; ids handed out before are meaningless after.
+    pub fn clear(&mut self) {
+        self.ids.clear();
+    }
+
+    /// Intern a value, assigning a fresh id on first sight. Idempotent.
+    pub fn intern(&mut self, value: &Value) -> ValueId {
+        if let Some(&id) = self.ids.get(value) {
             return ValueId(id);
         }
+        let id = u32::try_from(self.ids.len()).expect("interner overflow");
+        self.ids.insert(value.clone(), id);
+        ValueId(id)
     }
-    let mut inner = table().write().expect("interner lock");
-    if let Some(&id) = inner.ids.get(value) {
-        return ValueId(id);
+
+    /// Read-only lookup: the id of a previously interned value, or `None`
+    /// when the value has never been interned (in which case no indexed
+    /// tuple can carry it). Probe paths use this so transient probe keys
+    /// never grow the table.
+    pub fn lookup(&self, value: &Value) -> Option<ValueId> {
+        self.ids.get(value).copied().map(ValueId)
     }
-    let id = u32::try_from(inner.values.len()).expect("interner overflow");
-    inner.values.push(value.clone());
-    inner.ids.insert(value.clone(), id);
-    ValueId(id)
-}
 
-/// Read-only lookup: the id of a previously interned value, or `None` when
-/// the value has never been interned (in which case no indexed tuple can
-/// carry it). Probe paths use this so transient probe keys never grow the
-/// table.
-pub fn lookup(value: &Value) -> Option<ValueId> {
-    table()
-        .read()
-        .expect("interner lock")
-        .ids
-        .get(value)
-        .copied()
-        .map(ValueId)
-}
+    /// Intern every value of a stored tuple into `out` (cleared first):
+    /// the write path of index maintenance, which interns each stored
+    /// tuple once and shares the ids across the relation's indexes.
+    pub fn intern_all_into(&mut self, values: &[Value], out: &mut Vec<ValueId>) {
+        out.clear();
+        out.extend(values.iter().map(|v| self.intern(v)));
+    }
 
-/// The value an id stands for (a clone; values are cheap to clone). When
-/// several `Value`-equal representations interned to the id (e.g. `Int(3)`
-/// and `Float(3.0)`), this returns the first one seen.
-pub fn resolve(id: ValueId) -> Value {
-    table().read().expect("interner lock").values[id.0 as usize].clone()
-}
-
-/// Intern every value of a projection into `out` (cleared first). The
-/// write path of index maintenance: stored values must always have ids.
-/// One read lock covers the whole key; only genuinely new values pay a
-/// write-lock round trip.
-pub fn intern_into(values: &[&Value], out: &mut Vec<ValueId>) {
-    out.clear();
-    out.reserve(values.len());
-    {
-        let inner = table().read().expect("interner lock");
+    /// Look up every value of a probe key into `out` (cleared first). The
+    /// values come from any iterator (a probe key's signature columns, a
+    /// stored tuple's index projection), so callers never collect them into
+    /// a temporary buffer. Returns false — leaving `out` incomplete — as
+    /// soon as any value has no id, meaning the probe cannot match
+    /// anything.
+    pub fn lookup_into<'v>(
+        &self,
+        values: impl IntoIterator<Item = &'v Value>,
+        out: &mut Vec<ValueId>,
+    ) -> bool {
+        out.clear();
         for v in values {
-            match inner.ids.get(*v) {
+            match self.ids.get(v) {
                 Some(&id) => out.push(ValueId(id)),
-                None => break,
+                None => return false,
             }
         }
+        true
     }
-    for v in &values[out.len()..] {
-        out.push(intern(v));
-    }
-}
-
-/// Owned-slice variant of [`intern_into`], for the relation write path
-/// that interns every column of a stored tuple once and shares the ids
-/// across its indexes.
-pub fn intern_all_into(values: &[Value], out: &mut Vec<ValueId>) {
-    out.clear();
-    out.reserve(values.len());
-    {
-        let inner = table().read().expect("interner lock");
-        for v in values {
-            match inner.ids.get(v) {
-                Some(&id) => out.push(ValueId(id)),
-                None => break,
-            }
-        }
-    }
-    for v in &values[out.len()..] {
-        out.push(intern(v));
-    }
-}
-
-/// Look up every value of a probe key into `out` (cleared first), under a
-/// single read lock. The values come from any iterator (a probe key's
-/// signature columns, a stored tuple's index projection), so callers never
-/// collect them into a temporary buffer. Returns false — leaving `out`
-/// incomplete — as soon as any value has no id, meaning the probe cannot
-/// match anything.
-pub fn lookup_into<'v>(
-    values: impl IntoIterator<Item = &'v Value>,
-    out: &mut Vec<ValueId>,
-) -> bool {
-    out.clear();
-    let inner = table().read().expect("interner lock");
-    for v in values {
-        match inner.ids.get(v) {
-            Some(&id) => out.push(ValueId(id)),
-            None => return false,
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -187,22 +164,24 @@ mod tests {
 
     #[test]
     fn ids_are_stable_and_equality_mirrors_value_equality() {
-        let a = intern(&Value::Int(42));
-        let b = intern(&Value::Int(42));
+        let mut table = Interner::new();
+        let a = table.intern(&Value::Int(42));
+        let b = table.intern(&Value::Int(42));
         assert_eq!(a, b, "re-interning returns the same id");
-        let c = intern(&Value::Int(43));
+        let c = table.intern(&Value::Int(43));
         assert_ne!(a, c);
         // Numeric conflation: Int(3) == Float(3.0) => same id, matching the
         // pre-interning bucket-key semantics.
-        let i3 = intern(&Value::Int(3));
-        let f3 = intern(&Value::Float(3.0));
+        let i3 = table.intern(&Value::Int(3));
+        let f3 = table.intern(&Value::Float(3.0));
         assert_eq!(i3, f3);
-        assert_ne!(i3, intern(&Value::Float(3.5)));
+        assert_ne!(i3, table.intern(&Value::Float(3.5)));
+        assert_eq!(table.len(), 4);
     }
 
     #[test]
-    fn round_trips_are_lossless_under_value_equality() {
-        let samples = vec![
+    fn lookups_agree_with_interning_for_every_kind_of_value() {
+        let samples = [
             Value::Addr(NodeAddr(7)),
             Value::Int(-9),
             Value::Float(2.5),
@@ -212,78 +191,71 @@ mod tests {
             Value::list(vec![Value::addr(1u32), Value::addr(2u32), Value::Int(5)]),
             Value::nil(),
         ];
-        for v in &samples {
-            let id = intern(v);
-            assert_eq!(&resolve(id), v, "round-trip of {v}");
-            assert_eq!(lookup(v), Some(id));
+        let mut table = Interner::new();
+        let ids: Vec<ValueId> = samples.iter().map(|v| table.intern(v)).collect();
+        for (v, &id) in samples.iter().zip(&ids) {
+            assert_eq!(table.lookup(v), Some(id), "lookup of {v}");
+            assert_eq!(
+                table.intern(v),
+                id,
+                "ids must be stable for the table's life"
+            );
         }
         // Index keys rely on total_cmp float ordering: distinct bit
         // patterns that compare unequal get distinct ids, and NaN (equal to
-        // itself under total_cmp) round-trips consistently too.
-        let nan = Value::Float(f64::NAN);
-        let nan_id = intern(&nan);
-        assert_eq!(intern(&Value::Float(f64::NAN)), nan_id);
-        assert_eq!(resolve(nan_id), nan);
-        assert_ne!(nan_id, intern(&Value::Float(0.0)));
+        // itself under total_cmp) interns consistently too.
+        let nan_id = table.intern(&Value::Float(f64::NAN));
+        assert_eq!(table.intern(&Value::Float(f64::NAN)), nan_id);
+        assert_eq!(table.lookup(&Value::Float(f64::NAN)), Some(nan_id));
+        assert_ne!(nan_id, table.intern(&Value::Float(0.0)));
     }
 
     #[test]
     fn lookup_never_grows_the_table() {
-        let novel = Value::str("never-interned-probe-key-3f1a");
-        assert_eq!(lookup(&novel), None);
-        assert_eq!(lookup(&novel), None, "lookup must not intern");
-        let id = intern(&novel);
-        assert_eq!(lookup(&novel), Some(id));
+        let mut table = Interner::new();
+        let novel = Value::str("never-interned-probe-key");
+        assert_eq!(table.lookup(&novel), None);
+        assert_eq!(table.lookup(&novel), None, "lookup must not intern");
+        assert!(table.is_empty());
+        let id = table.intern(&novel);
+        assert_eq!(table.lookup(&novel), Some(id));
+        assert_eq!(table.len(), 1);
     }
 
     #[test]
     fn lookup_into_fails_fast_on_unknown_values() {
+        let mut table = Interner::new();
         let known = Value::Int(1_001);
-        intern(&known);
+        table.intern(&known);
         let mut out = Vec::new();
-        assert!(!lookup_into(
-            &[known.clone(), Value::str("unknown-9b2c")],
-            &mut out
-        ));
-        assert!(lookup_into(std::slice::from_ref(&known), &mut out));
+        assert!(!table.lookup_into(&[known.clone(), Value::str("unknown")], &mut out));
+        assert!(table.lookup_into(std::slice::from_ref(&known), &mut out));
         assert_eq!(out.len(), 1);
+        assert_eq!(table.len(), 1, "failed lookups intern nothing");
     }
 
     #[test]
-    fn concurrent_interning_yields_stable_ids_within_a_run() {
-        // Four threads race to intern the same 64 values plus a private
-        // set each; every thread must observe identical ids for the shared
-        // values, and re-interning after the race must return them again.
-        let shared: Vec<Value> = (0..64)
-            .map(|i| {
-                Value::list(vec![
-                    Value::Int(i),
-                    Value::str(format!("shared-{i}")),
-                    Value::addr(i as u32),
-                ])
-            })
-            .collect();
-        let mut handles = Vec::new();
-        for t in 0..4u32 {
-            let shared = shared.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut seen = Vec::with_capacity(shared.len());
-                for (i, v) in shared.iter().enumerate() {
-                    seen.push(intern(v));
-                    // Private values interleave the shared interning.
-                    intern(&Value::str(format!("private-{t}-{i}")));
-                }
-                seen
-            }));
-        }
-        let per_thread: Vec<Vec<ValueId>> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for ids in &per_thread[1..] {
-            assert_eq!(ids, &per_thread[0], "threads disagree on shared ids");
-        }
-        for (v, &id) in shared.iter().zip(&per_thread[0]) {
-            assert_eq!(intern(v), id, "ids must be stable for the whole run");
-            assert_eq!(resolve(id), *v);
-        }
+    fn tables_are_independent_and_clearing_forgets_everything() {
+        // Ids are scoped to their table: the same value may hold different
+        // ids in two tables, and a value interned in one is unknown to the
+        // other.
+        let mut a = Interner::new();
+        let mut b = Interner::new();
+        a.intern(&Value::Int(1));
+        let in_a = a.intern(&Value::Int(2));
+        let in_b = b.intern(&Value::Int(2));
+        assert_ne!(in_a, in_b);
+        assert_eq!(b.lookup(&Value::Int(1)), None);
+        let mut ids = Vec::new();
+        a.intern_all_into(&[Value::Int(2), Value::Int(1)], &mut ids);
+        assert_eq!(ids, vec![in_a, a.lookup(&Value::Int(1)).unwrap()]);
+        a.clear();
+        assert!(a.is_empty());
+        assert_eq!(a.lookup(&Value::Int(2)), None);
+        assert_eq!(
+            a.intern(&Value::Int(2)).raw(),
+            0,
+            "ids restart after a clear"
+        );
     }
 }

@@ -35,7 +35,7 @@ use crate::expr::EvalError;
 use crate::store::{Applied, Store};
 use crate::strand::{CompiledStrand, Derivation, JoinStats};
 use crate::tap::DeltaTap;
-use crate::tuple::{Sign, TupleDelta};
+use crate::tuple::{Rel, Sign, TupleDelta};
 use ndlog_lang::aggsel::AggSelectionSpec;
 use ndlog_net::NodeAddr;
 use std::collections::VecDeque;
@@ -129,9 +129,10 @@ pub struct Kernel {
     store: Store,
     strands: Arc<Vec<CompiledStrand>>,
     views: Vec<AggregateView>,
-    /// Aggregate selections to prune insertions with: (selection, index of
-    /// the aggregate view that tracks its groups). Empty = no pruning.
-    selections: Vec<(AggSelectionSpec, usize)>,
+    /// Aggregate selections to prune insertions with: (the selection's
+    /// relation, the selection, index of the aggregate view that tracks its
+    /// groups). Empty = no pruning.
+    selections: Vec<(Rel, AggSelectionSpec, usize)>,
     /// The node this kernel evaluates at; `None` keeps every derivation
     /// local.
     here: Option<NodeAddr>,
@@ -153,7 +154,7 @@ pub struct Kernel {
     /// [`crate::subplan::ProbeCache`], so each distinct `(relation, cols,
     /// key)` lookup of a round executes once across every strand sharing
     /// it.
-    shared_sigs: Vec<(String, Vec<usize>)>,
+    shared_sigs: Vec<(Rel, Vec<usize>)>,
     /// Reusable flat buffers for batch firing.
     scratch: BatchScratch,
     batch_out: BatchOutput,
@@ -180,6 +181,10 @@ impl Kernel {
             }
         }
         let shared_sigs = crate::subplan::shared_signatures(&strands);
+        let selections = selections
+            .into_iter()
+            .map(|(sel, view)| (Rel::new(&sel.relation), sel, view))
+            .collect();
         Kernel {
             store,
             strands,
@@ -253,10 +258,11 @@ impl Kernel {
     /// every stored tuple first, so subscribers stay exact; timestamps and
     /// the logical clock survive.
     pub fn clear(&mut self) {
-        for name in self.store.relation_names() {
-            if self.tap.is_subscribed(name) {
-                for tuple in self.store.tuples(name) {
-                    self.tap.record(&TupleDelta::delete(name, tuple));
+        for (name, relation) in self.store.relations() {
+            if self.tap.is_subscribed(&name) {
+                for stored in relation.iter() {
+                    self.tap
+                        .record(&TupleDelta::delete(name, stored.tuple.clone()));
                 }
             }
         }
@@ -298,8 +304,7 @@ impl Kernel {
             Applied::Changed if delta.sign == Sign::Delete => self.pending.push(delta),
             Applied::Changed => self.propagate_insert(delta, effect.seq),
             Applied::Replaced(old) => {
-                self.pending
-                    .push(TupleDelta::delete(delta.relation.clone(), old));
+                self.pending.push(TupleDelta::delete(delta.relation, old));
                 self.propagate_insert(delta, effect.seq);
             }
         }
@@ -309,10 +314,10 @@ impl Kernel {
     /// into a selection relation is no better than its group's current
     /// aggregate, so it is neither stored, extended nor propagated.
     fn prune(&mut self, delta: &TupleDelta) -> bool {
-        let Some((sel, view_idx)) = self
+        let Some((_, sel, view_idx)) = self
             .selections
             .iter()
-            .find(|(sel, _)| sel.relation == delta.relation)
+            .find(|(relation, _, _)| *relation == delta.relation)
         else {
             return false;
         };
@@ -355,7 +360,7 @@ impl Kernel {
                 continue;
             }
             if let Some(best) = view.current_output_for(&delta.tuple) {
-                self.store.refresh(view.head_relation(), best);
+                self.store.refresh(&view.head_relation(), best);
             }
         }
     }

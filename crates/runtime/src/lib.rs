@@ -3,25 +3,28 @@
 //! This crate implements everything a node needs to evaluate a (localized)
 //! NDlog program over its local state:
 //!
-//! * [`tuple`] — tuples and signed tuple deltas;
+//! * [`tuple`](mod@tuple) — tuples (one allocation each), signed tuple
+//!   deltas and [`Rel`], the `Copy` relation-name handle deltas carry:
+//!   names are resolved to handles when programs are compiled, so routing
+//!   a delta compares pointers and copying one allocates nothing;
 //! * [`expr`] — expression evaluation and the builtin `f_*` functions
 //!   (path-vector construction, membership tests, arithmetic);
 //! * [`relation`] — stored relations with primary keys, derivation counts
 //!   (the count algorithm for deletions), per-tuple timestamps and optional
 //!   soft-state TTLs, and the one access-path chooser behind every join
 //!   (point lookup, location walk, secondary index or scan);
-//! * [`intern`] — the global thread-safe [`Value`](ndlog_lang::Value)
-//!   interner behind the index layer: ids are stable for the life of the
-//!   process (interned values are deliberately never freed — the distinct-
-//!   value set is bounded by the stored data, and probe keys use a
-//!   read-only lookup that cannot grow the table), id equality is exactly
-//!   value equality, and because nothing observable is ever ordered by id,
-//!   concurrent interning from executor threads cannot perturb results —
-//!   the determinism guarantee the parallel engine relies on;
+//! * [`intern`] — the [`Value`](ndlog_lang::Value) interner behind the
+//!   index layer, one per relation: plain owned data with no lock, ids
+//!   meaningful only within their relation and stable until it is cleared
+//!   (a crash reset) or dropped; probe keys use a read-only lookup that
+//!   cannot grow the table, id equality is exactly value equality, and
+//!   because nothing observable is ever ordered by id, scoping ids per
+//!   relation changes no result;
 //! * [`index`] — secondary hash indexes over bound-column signatures,
 //!   maintained incrementally so joins probe in O(matches) instead of
 //!   scanning; only signatures no point lookup or location walk serves are
-//!   materialized, bucket keys are interned `ValueId`s and bucket members
+//!   materialized, bucket keys are `ValueId`s from the relation's own
+//!   interner and bucket members
 //!   are shared `Arc` primary keys with their relation slots, so index
 //!   maintenance hashes fixed-size ids instead of cloning values;
 //! * [`store`] — a node's collection of relations, built from a program's
@@ -67,7 +70,7 @@
 //! fixed deterministic workload, one warmup pass, then a fixed number of
 //! timed passes, reported as µs per trigger.
 //!
-//! Two optimizations stack on the batch path:
+//! Several optimizations stack on the batch path:
 //!
 //! * **Key-grouped probe sharing** ([`batch`]): a delta batch's rows are
 //!   partitioned by probe-key value per body atom, each distinct key is
@@ -82,6 +85,16 @@
 //!   `ValueId`s — so visibility and residual filtering compare dense
 //!   `u64`/`u32` values and surviving candidates are read straight from
 //!   their slots.
+//! * **Cheap derivations to hand between lanes** ([`tuple`](mod@tuple),
+//!   [`batch`], [`intern`]): batch head projection fills a reusable buffer
+//!   and moves it into the tuple's single `Arc<[Value]>`, and the
+//!   relation name is a copied [`Rel`] handle, so a derivation allocates
+//!   its tuple and whatever its values need (a path vector) and nothing
+//!   else — no name `String`, `Arc` box or `Vec` buffer for the lane that
+//!   receives, prunes and drops it to free. Index maintenance and probes
+//!   go through the owning relation's interner rather than a process-wide
+//!   locked table, so executor lanes share no mutable state on the
+//!   derivation path.
 //! * **Allocation-free ingest** ([`relation`], [`aggview`], [`store`],
 //!   [`expr`]): membership tests, aggregate-selection checks and
 //!   duplicate inserts look keys up borrowed from the tuple (see the
@@ -156,11 +169,11 @@ pub use batch::{BatchOutput, BatchScratch, BatchTrigger};
 pub use evaluator::{Evaluator, Strategy};
 pub use expr::{Bindings, EvalError};
 pub use index::{IndexSignature, SecondaryIndex};
-pub use intern::ValueId;
+pub use intern::{Interner, ValueId};
 pub use kernel::{EvalStats, Kernel};
 pub use relation::{InsertOutcome, Relation, RelationSchema};
 pub use store::Store;
 pub use strand::{ColumnSource, CompiledStrand, Derivation, JoinStats, ProbePlan};
 pub use subplan::{shared_signatures, ProbeCache};
 pub use tap::DeltaTap;
-pub use tuple::{Sign, Tuple, TupleDelta};
+pub use tuple::{Rel, Sign, Tuple, TupleDelta};

@@ -46,7 +46,7 @@
 
 use crate::hash::FxHashMap;
 use crate::index::{Bucket, IndexSignature, JoinStats, SecondaryIndex};
-use crate::intern::{self, ValueId};
+use crate::intern::{Interner, ValueId};
 use crate::key::{KeyView, Picked, Projection, ValueKey};
 use crate::tuple::Tuple;
 use ndlog_lang::Value;
@@ -192,6 +192,11 @@ pub struct Relation {
     /// every signature at construction time.
     #[serde(skip)]
     indexes: Vec<SecondaryIndex>,
+    /// The value → id table behind the secondary indexes: every id this
+    /// relation's buckets, probes and residual checks use comes from here
+    /// (see [`crate::intern`]). Derivable state, like the indexes.
+    #[serde(skip)]
+    interner: Interner,
     /// The owning node's address (and its interned id) when every stored
     /// tuple carries it in column 0 — see [`Relation::set_location`].
     #[serde(skip)]
@@ -226,6 +231,7 @@ impl Relation {
             order: BTreeMap::new(),
             by_key: FxHashMap::default(),
             indexes: Vec::new(),
+            interner: Interner::new(),
             location: None,
             location_walk: false,
             id_scratch: Vec::new(),
@@ -318,7 +324,7 @@ impl Relation {
             "{}: stored tuples must carry the pinned location",
             self.schema.name
         );
-        let id = intern::intern(&here);
+        let id = self.interner.intern(&here);
         self.location = Some((here, id));
         let declared: Vec<IndexSignature> = self
             .indexes
@@ -360,7 +366,8 @@ impl Relation {
             let stored = self.slots[slot as usize]
                 .as_ref()
                 .expect("ordered slots are live");
-            intern::intern_all_into(stored.tuple.values(), &mut self.id_scratch);
+            self.interner
+                .intern_all_into(stored.tuple.values(), &mut self.id_scratch);
             index.add(&self.id_scratch, Arc::clone(key), stored.seq, slot);
         }
         self.indexes.push(index);
@@ -419,7 +426,9 @@ impl Relation {
             if finalists == 1 {
                 return Some(index);
             }
-            let bucket = index.bucket_for(cols, key).map_or(0, Bucket::len);
+            let bucket = index
+                .bucket_for(&self.interner, cols, key)
+                .map_or(0, Bucket::len);
             match &best {
                 Some((current, current_bucket))
                     if (*current_bucket, current.signature()) <= (bucket, sig) => {}
@@ -519,10 +528,15 @@ impl Relation {
                 Access::Point(stored.filter(|s| s.seq <= seq_limit && bound.matches(&s.tuple)))
             }
             Plan::Secondary(index) => {
-                let bucket = index.bucket_for(cols, key);
+                let bucket = index.bucket_for(&self.interner, cols, key);
                 stats.tuples_examined += bucket.map_or(0, Bucket::len) * members;
-                let (bucket, residual) =
-                    compile_residual(bucket, index.signature(), bound, self.location.as_ref());
+                let (bucket, residual) = compile_residual(
+                    bucket,
+                    index.signature(),
+                    bound,
+                    &self.interner,
+                    self.location.as_ref(),
+                );
                 Access::Probe(ProbeIter {
                     relation: self,
                     bucket,
@@ -560,6 +574,13 @@ impl Relation {
         self.lossy_replacements
     }
 
+    /// Number of values the relation's interner holds (see
+    /// [`crate::intern`]): zero while no secondary index is materialized,
+    /// apart from a pinned relation's location.
+    pub fn interned(&self) -> usize {
+        self.interner.len()
+    }
+
     /// Register a newly stored tuple in every index. The tuple's columns
     /// are interned once (into the reusable scratch) and the ids shared by
     /// every index's bucket; the primary key is the relation's own shared
@@ -568,7 +589,8 @@ impl Relation {
         if self.indexes.is_empty() {
             return;
         }
-        intern::intern_all_into(tuple.values(), &mut self.id_scratch);
+        self.interner
+            .intern_all_into(tuple.values(), &mut self.id_scratch);
         for index in &mut self.indexes {
             index.add(&self.id_scratch, Arc::clone(key), seq, slot);
         }
@@ -577,7 +599,7 @@ impl Relation {
     /// Remove a no-longer-stored tuple from every index.
     fn index_remove(&mut self, key: &[Value], tuple: &Tuple) {
         for index in &mut self.indexes {
-            index.remove(tuple.values(), key);
+            index.remove(&self.interner, tuple.values(), key);
         }
     }
 
@@ -733,7 +755,9 @@ impl Relation {
     }
 
     /// Drop every stored tuple, keeping the schema, the location pin and
-    /// the declared indexes (emptied).
+    /// the declared indexes (emptied). The interner is emptied too, so a
+    /// crash reset frees every id the relation's history minted; the pinned
+    /// location is interned afresh.
     pub fn clear(&mut self) {
         self.slots.clear();
         self.free.clear();
@@ -741,6 +765,10 @@ impl Relation {
         self.by_key.clear();
         for index in &mut self.indexes {
             index.clear();
+        }
+        self.interner.clear();
+        if let Some((here, id)) = &mut self.location {
+            *id = self.interner.intern(here);
         }
         self.lossy_replacements = 0;
     }
@@ -822,13 +850,14 @@ enum Residual<'b> {
 /// `(None, _)` when no candidate can possibly match: a residual value that
 /// was never interned cannot equal any value stored in a bucket with ids
 /// (every stored column is interned on insert), and a residual column
-/// beyond the bucket's uniform arity matches nothing either. A pinned
-/// relation's location resolves to its cached id without touching the
-/// interner.
+/// beyond the bucket's uniform arity matches nothing either. Values
+/// resolve through the relation's own `interner`; a pinned relation's
+/// location resolves to its cached id without a lookup.
 fn compile_residual<'r, 'b>(
     bucket: Option<&'r Bucket>,
     signature: &IndexSignature,
     bound: Bound<'b>,
+    interner: &Interner,
     location: Option<&(Value, ValueId)>,
 ) -> (Option<&'r Bucket>, Residual<'b>) {
     let Some(b) = bucket.filter(|b| b.has_ids()) else {
@@ -847,7 +876,7 @@ fn compile_residual<'r, 'b>(
         let resolved = match location {
             _ if c >= b.arity() => None,
             Some((here, id)) if c == 0 && here == v => Some(*id),
-            _ => intern::lookup(v),
+            _ => interner.lookup(v),
         };
         match resolved {
             Some(id) => ids[slot] = Some((c, id)),
@@ -1329,5 +1358,54 @@ mod tests {
         assert_eq!(s.key_of(&t(&[7, 8])), vec![Value::Int(8)]);
         let s = RelationSchema::new("r");
         assert_eq!(s.key_of(&t(&[7, 8])).len(), 2);
+    }
+
+    #[test]
+    fn clear_empties_the_interner_and_pinned_lookups_survive_a_refill() {
+        let mut plain = keyed_relation();
+        plain.ensure_index(&[1]);
+        for i in 0..4 {
+            plain.insert(t(&[i, 10 + i]), i as u64 + 1, 0);
+        }
+        assert!(plain.interned() > 0);
+        plain.clear();
+        assert_eq!(plain.interned(), 0, "a crash reset frees every id");
+
+        let here = Value::addr(4u32);
+        let row = |b: i64, c: i64| Tuple::new(vec![here.clone(), Value::Int(b), Value::Int(c)]);
+        let mut pinned = Relation::new(RelationSchema::new("pinned"));
+        pinned.set_location(here.clone());
+        pinned.ensure_index(&[0, 1]);
+        pinned.ensure_index(&[0]);
+        for i in 0..5 {
+            pinned.insert(row(i, 10 + i), i as u64 + 1, 0);
+        }
+        pinned.clear();
+        assert_eq!(pinned.interned(), 1, "only the location is interned again");
+        assert!(pinned.is_empty());
+        // Refill with partly new values, then take every access path that
+        // resolves ids: the secondary index with the location checked
+        // residually, an id residual, and the location walk.
+        for i in 3..8 {
+            pinned.insert(row(i, 20 + i), i as u64 + 10, 0);
+        }
+        let look = |cols: &[usize], key: &[Value]| -> Vec<Tuple> {
+            pinned
+                .lookup(cols, key, u64::MAX, &mut JoinStats::default())
+                .map(|s| s.tuple.clone())
+                .collect()
+        };
+        assert_eq!(
+            look(&[0, 1], &[here.clone(), Value::Int(4)]),
+            vec![row(4, 24)]
+        );
+        assert_eq!(
+            look(&[0, 1, 2], &[here.clone(), Value::Int(5), Value::Int(25)]),
+            vec![row(5, 25)]
+        );
+        assert!(look(&[0, 1, 2], &[here.clone(), Value::Int(5), Value::Int(15)]).is_empty());
+        assert!(look(&[0, 1], &[Value::addr(9u32), Value::Int(4)]).is_empty());
+        assert!(look(&[1], &[Value::Int(1)]).is_empty(), "pre-crash tuple");
+        assert_eq!(look(&[0], std::slice::from_ref(&here)).len(), 5);
     }
 }

@@ -2,7 +2,7 @@
 //! program reads and writes at one network node.
 
 use crate::relation::{DeleteOutcome, InsertOutcome, Relation, RelationSchema};
-use crate::tuple::{Sign, Tuple, TupleDelta};
+use crate::tuple::{Rel, Sign, Tuple, TupleDelta};
 use ndlog_lang::{Program, Term, Value};
 use ndlog_net::NodeAddr;
 use std::collections::{BTreeMap, BTreeSet};
@@ -11,7 +11,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// used by pipelined semi-naive evaluation.
 #[derive(Debug, Clone, Default)]
 pub struct Store {
-    relations: BTreeMap<String, Relation>,
+    /// Relations by name handle, in name order (a [`Rel`] orders as its
+    /// name does).
+    relations: BTreeMap<Rel, Relation>,
     next_seq: u64,
     now_micros: u64,
 }
@@ -63,7 +65,7 @@ impl Store {
     /// schemas.
     pub fn add_program(&mut self, program: &Program) {
         for decl in &program.tables {
-            if self.relations.contains_key(&decl.name) {
+            if self.relations.contains_key(decl.name.as_str()) {
                 continue;
             }
             let mut schema =
@@ -81,7 +83,7 @@ impl Store {
             }
         }
         for name in names {
-            if !self.relations.contains_key(&name) {
+            if !self.relations.contains_key(name.as_str()) {
                 self.ensure(RelationSchema::new(name));
             }
         }
@@ -90,7 +92,7 @@ impl Store {
     /// Ensure a relation with the given schema exists (no-op if present).
     pub fn ensure(&mut self, schema: RelationSchema) -> &mut Relation {
         self.relations
-            .entry(schema.name.clone())
+            .entry(Rel::new(&schema.name))
             .or_insert_with(|| Relation::new(schema))
     }
 
@@ -120,7 +122,7 @@ impl Store {
                 self.declare_index(&relation, &cols);
             }
             let key_cols = effective_key_columns(
-                self.relation(strand.head_relation()),
+                self.relation(&strand.head_relation()),
                 strand.delta_rule().rule.head.arity(),
             );
             if let Some((relation, cols)) = strand.rederive_requirement(&key_cols) {
@@ -141,7 +143,14 @@ impl Store {
 
     /// Names of all relations, in sorted order.
     pub fn relation_names(&self) -> impl Iterator<Item = &str> {
-        self.relations.keys().map(String::as_str)
+        self.relations.keys().map(|name| name.as_str())
+    }
+
+    /// All relations with their name handles, in name order.
+    pub fn relations(&self) -> impl Iterator<Item = (Rel, &Relation)> {
+        self.relations
+            .iter()
+            .map(|(&name, relation)| (name, relation))
     }
 
     /// Total number of stored tuples across relations.
@@ -178,15 +187,12 @@ impl Store {
     pub fn apply(&mut self, delta: &TupleDelta) -> ApplyEffect {
         let now = self.now_micros;
         let seq = self.fresh_seq();
-        // Looked up by the borrowed name: only a relation's first delta
-        // allocates its name.
-        if !self.relations.contains_key(&delta.relation) {
-            self.ensure(RelationSchema::new(delta.relation.clone()));
-        }
+        // Keyed by the delta's handle: only a relation's first delta
+        // allocates (its schema's name).
         let relation = self
             .relations
-            .get_mut(&delta.relation)
-            .expect("ensured above");
+            .entry(delta.relation)
+            .or_insert_with(|| Relation::new(RelationSchema::new(delta.relation.as_str())));
         let outcome = match delta.sign {
             Sign::Insert => match relation.insert(delta.tuple.clone(), seq, now) {
                 InsertOutcome::New => Applied::Changed,
@@ -218,7 +224,7 @@ impl Store {
         let mut out = Vec::new();
         for (name, rel) in &mut self.relations {
             for tuple in rel.expire(now_micros) {
-                out.push(TupleDelta::delete(name.clone(), tuple));
+                out.push(TupleDelta::delete(*name, tuple));
             }
         }
         out

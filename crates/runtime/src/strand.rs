@@ -32,7 +32,7 @@
 
 use crate::expr::{eval, eval_bool, Bindings, EvalError};
 use crate::store::Store;
-use crate::tuple::{Tuple, TupleDelta};
+use crate::tuple::{Rel, Tuple, TupleDelta};
 use ndlog_lang::seminaive::DeltaRule;
 use ndlog_lang::{Atom, Literal, Term, Value};
 use ndlog_net::NodeAddr;
@@ -86,6 +86,10 @@ pub struct CompiledStrand {
     /// The slot-compiled twin of the rule, used by the batch-delta path
     /// ([`CompiledStrand::fire_batch`]).
     batch: crate::batch::BatchPlan,
+    /// The trigger and head relation names, resolved once at compile time
+    /// so routing a delta to its strands compares handles.
+    trigger: Rel,
+    head: Rel,
 }
 
 impl CompiledStrand {
@@ -95,7 +99,15 @@ impl CompiledStrand {
     pub fn new(rule: DeltaRule) -> Self {
         let plans = compile_probe_plans(&rule);
         let batch = crate::batch::compile(&rule, &plans);
-        CompiledStrand { rule, plans, batch }
+        let trigger = Rel::new(&rule.trigger_relation);
+        let head = Rel::new(&rule.rule.head.name);
+        CompiledStrand {
+            rule,
+            plans,
+            batch,
+            trigger,
+            head,
+        }
     }
 
     /// The probe plans, parallel to the rule's body literals (useful for
@@ -161,8 +173,8 @@ impl CompiledStrand {
     }
 
     /// The relation whose deltas trigger this strand.
-    pub fn trigger_relation(&self) -> &str {
-        &self.rule.trigger_relation
+    pub fn trigger_relation(&self) -> Rel {
+        self.trigger
     }
 
     /// The label of the rule this strand implements.
@@ -171,8 +183,8 @@ impl CompiledStrand {
     }
 
     /// The head relation this strand derives.
-    pub fn head_relation(&self) -> &str {
-        &self.rule.rule.head.name
+    pub fn head_relation(&self) -> Rel {
+        self.head
     }
 
     /// The underlying delta rule.
@@ -210,7 +222,7 @@ impl CompiledStrand {
         seq_limit: u64,
         stats: &mut JoinStats,
     ) -> Result<Vec<Derivation>, EvalError> {
-        debug_assert_eq!(trigger.relation, self.rule.trigger_relation);
+        debug_assert_eq!(trigger.relation, self.trigger);
         let rule = &self.rule.rule;
         let Literal::Atom(trigger_atom) = &rule.body[self.rule.trigger] else {
             return Ok(Vec::new());
@@ -276,7 +288,7 @@ impl CompiledStrand {
             let location = tuple.location();
             out.push(Derivation {
                 delta: TupleDelta {
-                    relation: rule.head.name.clone(),
+                    relation: self.head,
                     tuple,
                     sign: trigger.sign,
                 },
@@ -305,9 +317,7 @@ impl CompiledStrand {
         scratch: &mut crate::batch::BatchScratch,
         out: &mut crate::batch::BatchOutput,
     ) -> Result<(), EvalError> {
-        debug_assert!(triggers
-            .iter()
-            .all(|t| t.delta.relation == self.rule.trigger_relation));
+        debug_assert!(triggers.iter().all(|t| t.delta.relation == self.trigger));
         self.batch
             .fire_batch(store, triggers, stats, scratch, out, true, None)
     }
@@ -330,9 +340,7 @@ impl CompiledStrand {
         out: &mut crate::batch::BatchOutput,
         cache: &mut crate::subplan::ProbeCache<'r>,
     ) -> Result<(), EvalError> {
-        debug_assert!(triggers
-            .iter()
-            .all(|t| t.delta.relation == self.rule.trigger_relation));
+        debug_assert!(triggers.iter().all(|t| t.delta.relation == self.trigger));
         self.batch
             .fire_batch(store, triggers, stats, scratch, out, true, Some(cache))
     }
@@ -350,9 +358,7 @@ impl CompiledStrand {
         scratch: &mut crate::batch::BatchScratch,
         out: &mut crate::batch::BatchOutput,
     ) -> Result<(), EvalError> {
-        debug_assert!(triggers
-            .iter()
-            .all(|t| t.delta.relation == self.rule.trigger_relation));
+        debug_assert!(triggers.iter().all(|t| t.delta.relation == self.trigger));
         self.batch
             .fire_batch(store, triggers, stats, scratch, out, false, None)
     }

@@ -31,6 +31,7 @@ use crate::hash::FxHashMap;
 use crate::index::JoinStats;
 use crate::relation::{Relation, StoredTuple};
 use crate::strand::CompiledStrand;
+use crate::tuple::Rel;
 use ndlog_lang::Value;
 use std::collections::BTreeMap;
 
@@ -39,7 +40,7 @@ use std::collections::BTreeMap;
 /// twice within one strand). Engines arm a [`ProbeCache`] per round only
 /// when this is non-empty, so programs without cross-rule sharing pay
 /// nothing.
-pub fn shared_signatures(strands: &[CompiledStrand]) -> Vec<(String, Vec<usize>)> {
+pub fn shared_signatures(strands: &[CompiledStrand]) -> Vec<(Rel, Vec<usize>)> {
     let mut counts: BTreeMap<(String, Vec<usize>), usize> = BTreeMap::new();
     for strand in strands {
         for sig in strand.index_requirements() {
@@ -49,7 +50,7 @@ pub fn shared_signatures(strands: &[CompiledStrand]) -> Vec<(String, Vec<usize>)
     counts
         .into_iter()
         .filter(|(_, n)| *n >= 2)
-        .map(|(sig, _)| sig)
+        .map(|((relation, cols), _)| (Rel::new(&relation), cols))
         .collect()
 }
 
@@ -72,7 +73,7 @@ pub struct ProbeCache<'r> {
     /// the engine, which computes them once). Probes outside this list
     /// bypass the cache entirely (linear scan: the list is a handful of
     /// entries and the comparison allocates nothing).
-    sigs: &'r [(String, Vec<usize>)],
+    sigs: &'r [(Rel, Vec<usize>)],
     /// Per signature: probe key → cached candidates.
     entries: Vec<FxHashMap<Box<[Value]>, CachedProbe<'r>>>,
     hits: usize,
@@ -81,7 +82,7 @@ pub struct ProbeCache<'r> {
 
 impl<'r> ProbeCache<'r> {
     /// A cache armed for the given shared signatures.
-    pub fn new(shared: &'r [(String, Vec<usize>)]) -> ProbeCache<'r> {
+    pub fn new(shared: &'r [(Rel, Vec<usize>)]) -> ProbeCache<'r> {
         ProbeCache {
             sigs: shared,
             entries: (0..shared.len()).map(|_| FxHashMap::default()).collect(),
@@ -107,7 +108,7 @@ impl<'r> ProbeCache<'r> {
     pub(crate) fn probe(
         &mut self,
         stored: &'r Relation,
-        relation: &str,
+        relation: Rel,
         cols: &[usize],
         key: &[Value],
         members: usize,
@@ -116,7 +117,7 @@ impl<'r> ProbeCache<'r> {
         let sig = self
             .sigs
             .iter()
-            .position(|(r, c)| r == relation && c == cols)?;
+            .position(|(r, c)| *r == relation && c == cols)?;
         let entries = &mut self.entries[sig];
         if let Some(entry) = entries.get(key) {
             stats.logical_probes += entry.per_logical * members;

@@ -24,13 +24,13 @@
 //! it records is the node's change report. With no subscribed relations it
 //! reduces to one empty-set membership probe per visibility change.
 
-use crate::tuple::TupleDelta;
+use crate::tuple::{Rel, TupleDelta};
 use std::collections::BTreeSet;
 
 /// Records visibility transitions of subscribed relations.
 #[derive(Debug, Default, Clone)]
 pub struct DeltaTap {
-    relations: BTreeSet<String>,
+    relations: BTreeSet<Rel>,
     events: Vec<TupleDelta>,
 }
 
@@ -43,7 +43,7 @@ impl DeltaTap {
     /// Start recording a relation's visibility transitions. Events are
     /// recorded from the *next* store change on; subscribers wanting the
     /// current contents first take a snapshot (the session layer does).
-    pub fn subscribe(&mut self, relation: impl Into<String>) {
+    pub fn subscribe(&mut self, relation: impl Into<Rel>) {
         self.relations.insert(relation.into());
     }
 
@@ -60,7 +60,7 @@ impl DeltaTap {
 
     /// The subscribed relations, sorted.
     pub fn subscribed(&self) -> impl Iterator<Item = &str> {
-        self.relations.iter().map(String::as_str)
+        self.relations.iter().map(|r| r.as_str())
     }
 
     /// Record one visibility transition (called by the evaluator at the
@@ -95,7 +95,7 @@ mod tests {
     use ndlog_lang::Value;
 
     fn delta(rel: &str, v: i64) -> TupleDelta {
-        TupleDelta::insert(rel.to_string(), Tuple::new(vec![Value::Int(v)]))
+        TupleDelta::insert(rel, Tuple::new(vec![Value::Int(v)]))
     }
 
     #[test]

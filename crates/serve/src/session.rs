@@ -35,7 +35,7 @@ use ndlog_lang::interactive::{
 };
 use ndlog_lang::optimizer::{optimize, Pipeline};
 use ndlog_lang::{parse_command, parse_program, Value};
-use ndlog_runtime::{Evaluator, Strategy, Tuple, TupleDelta};
+use ndlog_runtime::{Evaluator, Rel, Strategy, Tuple, TupleDelta};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
@@ -150,7 +150,7 @@ pub enum Response {
 struct Subscription {
     id: u64,
     session: u64,
-    relation: String,
+    relation: Rel,
     filter: Option<SubscribeFilter>,
     sink: Arc<dyn EventSink>,
 }
@@ -360,14 +360,16 @@ impl Session {
 
 impl Core {
     fn apply_update(&mut self, session: u64, update: Update) -> Result<Response, ServeError> {
+        // One name resolution per statement, however many tuples it has.
+        let relation = Rel::new(&update.relation);
         let deltas: Vec<TupleDelta> = update
             .tuples
             .into_iter()
             .map(|values| {
                 let tuple = Tuple::new(values);
                 match update.op {
-                    Op::Insert => TupleDelta::insert(update.relation.clone(), tuple),
-                    Op::Delete => TupleDelta::delete(update.relation.clone(), tuple),
+                    Op::Insert => TupleDelta::insert(relation, tuple),
+                    Op::Delete => TupleDelta::delete(relation, tuple),
                 }
             })
             .collect();
@@ -524,10 +526,10 @@ impl Core {
         self.epoch += 1;
         let after = self.subscribed_visible();
         for (relation, tuple) in before.difference(&after) {
-            self.deliver_diff(TupleDelta::delete(relation.clone(), tuple.clone()));
+            self.deliver_diff(TupleDelta::delete(*relation, tuple.clone()));
         }
         for (relation, tuple) in after.difference(&before) {
-            self.deliver_diff(TupleDelta::insert(relation.clone(), tuple.clone()));
+            self.deliver_diff(TupleDelta::insert(*relation, tuple.clone()));
         }
         Ok(Response::Ok(format!("{what}; epoch {}", self.epoch)))
     }
@@ -544,11 +546,12 @@ impl Core {
         }
     }
 
-    fn subscribed_visible(&self) -> BTreeSet<(String, Tuple)> {
+    fn subscribed_visible(&self) -> BTreeSet<(Rel, Tuple)> {
         let mut set = BTreeSet::new();
         for relation in self.eval.tap().subscribed() {
+            let rel = Rel::new(relation);
             for tuple in self.eval.store().tuples(relation) {
-                set.insert((relation.to_string(), tuple));
+                set.insert((rel, tuple));
             }
         }
         set
@@ -574,7 +577,8 @@ impl Core {
         }
         let id = self.next_sub;
         self.next_sub += 1;
-        self.eval.tap_mut().subscribe(relation.clone());
+        let rel = Rel::new(&relation);
+        self.eval.tap_mut().subscribe(rel);
         // Snapshot: the relation's current matching contents as insert
         // events at the current epoch, before any live delta.
         let mut snapshot: Vec<Tuple> = self
@@ -590,13 +594,13 @@ impl Core {
             sink.deliver(&DeltaEvent {
                 subscription: id,
                 epoch: self.epoch,
-                delta: TupleDelta::insert(relation.clone(), tuple),
+                delta: TupleDelta::insert(rel, tuple),
             });
         }
         self.subs.push(Subscription {
             id,
             session,
-            relation: relation.clone(),
+            relation: rel,
             filter,
             sink,
         });
@@ -620,7 +624,7 @@ impl Core {
             }
             UnsubscribeTarget::Relation(relation) => {
                 self.subs
-                    .retain(|s| !(s.session == session && &s.relation == relation));
+                    .retain(|s| !(s.session == session && s.relation == *relation));
             }
         }
         let removed = before - self.subs.len();
@@ -981,7 +985,7 @@ mod tests {
         // mid-session additions.
         let key = |e: &DeltaEvent| {
             (
-                e.delta.relation.clone(),
+                e.delta.relation,
                 e.delta.sign == Sign::Insert,
                 e.delta.tuple.clone(),
             )

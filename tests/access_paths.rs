@@ -11,6 +11,11 @@
 //! unrestricted visibility and leaves `seq_limit` to each member) must
 //! account exactly like one `lookup` per member.
 //!
+//! Index ids are scoped to their relation (each relation interns its own
+//! values), so a further test runs two relations of one store that share
+//! some values and not others through every path, and checks that a value
+//! stored only in the other relation finds no bucket.
+//!
 //! A final engine test checks what the consolidation buys on the paper's
 //! shortest-path program: no per-node index signature contains the
 //! location column or covers a primary key.
@@ -22,7 +27,7 @@ use ndlog_lang::{programs, Value};
 use ndlog_net::topology::{LinkMetrics, Topology};
 use ndlog_net::NodeAddr;
 use ndlog_runtime::index::JoinStats;
-use ndlog_runtime::{Relation, RelationSchema, Tuple};
+use ndlog_runtime::{Relation, RelationSchema, Store, Tuple, TupleDelta};
 
 /// A small deterministic generator (xorshift64*), so every case replays.
 struct Rng(u64);
@@ -214,6 +219,102 @@ fn grouped_lookups_account_like_one_lookup_per_member() {
             assert!(grouped.distinct_probes <= single.distinct_probes);
         }
     }
+}
+
+#[test]
+fn interned_ids_are_scoped_to_their_relation() {
+    // `a` is keyed and pinned to its node, `b` keyless and unpinned. Both
+    // draw from shared small ints plus a string domain of their own, and
+    // `b` is filled first, so the shared values hold different ids in the
+    // two relations' interners.
+    let here = Value::addr(1u32);
+    let mut store = Store::new();
+    store.ensure(RelationSchema::new("a").with_keys(vec![0, 1]));
+    store.ensure(RelationSchema::new("b"));
+    store.set_location(NodeAddr(1), &["a".to_string()].into_iter().collect());
+    for cols in [&[0, 2][..], &[0, 1, 2], &[0]] {
+        store.declare_index("a", cols);
+    }
+    for cols in [&[0][..], &[1], &[0, 2]] {
+        store.declare_index("b", cols);
+    }
+    let mut rng = Rng(0x2f8e_11c4_9d03_b7a1);
+    let own = |rng: &mut Rng, tag: &str| -> Value {
+        if rng.chance(50) {
+            Value::Int(rng.below(6) as i64)
+        } else {
+            Value::str(format!("{tag}{}", rng.below(6)))
+        }
+    };
+    let mut seq = 0;
+    for relation in ["b", "a"] {
+        for _ in 0..60 {
+            let tuple = match relation {
+                "a" => Tuple::new(vec![here.clone(), own(&mut rng, "a"), own(&mut rng, "a")]),
+                _ => Tuple::new(vec![
+                    own(&mut rng, "b"),
+                    own(&mut rng, "b"),
+                    own(&mut rng, "b"),
+                ]),
+            };
+            seq = store.apply(&TupleDelta::insert(relation, tuple)).seq;
+        }
+    }
+    let a = store.relation("a").unwrap();
+    let b = store.relation("b").unwrap();
+    assert!(a.interned() > 0 && b.interned() > 0);
+
+    // Every path of either relation, probed with values from both
+    // domains, still equals the scan.
+    let mut hits = 0;
+    for rel in [a, b] {
+        for _ in 0..400 {
+            let mut cols = rng.columns(3);
+            if rel.location().is_some() && rng.chance(50) && !cols.contains(&0) {
+                cols.insert(0, 0);
+            }
+            let key: Vec<Value> = cols
+                .iter()
+                .map(|&c| match (c, rel.location()) {
+                    (0, Some(here)) if rng.chance(80) => here.clone(),
+                    _ => {
+                        let tag = if rng.chance(50) { "a" } else { "b" };
+                        own(&mut rng, tag)
+                    }
+                })
+                .collect();
+            let seq_limit = rng.below(seq + 1);
+            let bound: Vec<(usize, Value)> =
+                cols.iter().copied().zip(key.iter().cloned()).collect();
+            let expected = tuples(rel.scan_match(&bound, seq_limit));
+            let got = tuples(rel.lookup(&cols, &key, seq_limit, &mut JoinStats::default()));
+            assert_eq!(
+                got,
+                expected,
+                "{} lookup on {cols:?} = {key:?}",
+                rel.schema().name
+            );
+            hits += usize::from(!got.is_empty());
+        }
+    }
+    assert!(hits > 100, "lookups find tuples: {hits}");
+
+    // A value stored only in `b` has no id in `a`: the probe of `a`'s
+    // secondary index finds no bucket, so it examines nothing.
+    let only_b = b
+        .iter()
+        .flat_map(|s| s.tuple.values().iter())
+        .find(|v| v.to_string().contains('b'))
+        .expect("b stores some of its own values")
+        .clone();
+    let mut stats = JoinStats::default();
+    assert_eq!(
+        a.lookup(&[0, 2], &[here.clone(), only_b], u64::MAX, &mut stats)
+            .count(),
+        0
+    );
+    assert_eq!(stats.logical_probes, 1, "answered by the index");
+    assert_eq!(stats.tuples_examined, 0, "no bucket for a foreign value");
 }
 
 fn uniform_link() -> LinkMetrics {

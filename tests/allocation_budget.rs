@@ -10,9 +10,13 @@
 //! The workload is the paper's core computation: all-pairs hop-count
 //! shortest paths with aggregate selections, compiled with link-first body
 //! order, on the 52-node GT-ITM overlay, run to quiescence at 1 executor
-//! thread. Measured when the budget was set: 270,963 heap allocations for
-//! 33,243 derivations — 8.15 allocations per derivation. The budget
+//! thread. Measured when the budget was set: 180,460 heap allocations for
+//! 33,243 derivations — 5.43 allocations per derivation. The budget
 //! allows 1.25× the measured rate.
+//!
+//! The same run pins a second exact counter: relation-name registry
+//! lookups. Every name the derivation path needs was resolved to a handle
+//! when the program was planned, so running to quiescence makes none.
 //!
 //! This file holds a single test: the counting allocator is global to the
 //! test binary, and a second concurrently running test would be counted
@@ -25,12 +29,12 @@ use ndlog_lang::{programs, Value};
 use ndlog_net::gtitm::{generate, TransitStubConfig};
 use ndlog_net::overlay::{Overlay, OverlayConfig};
 use ndlog_net::topology::Metric;
-use ndlog_runtime::Tuple;
+use ndlog_runtime::{Rel, Tuple};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Allocations per derivation measured when the budget was set.
-const MEASURED_PER_DERIVATION: f64 = 8.15;
+const MEASURED_PER_DERIVATION: f64 = 5.43;
 /// Headroom over the measured rate before the test fails.
 const BUDGET_FACTOR: f64 = 1.25;
 
@@ -83,8 +87,10 @@ fn converge_stays_within_the_allocation_budget() {
     }
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let lookups_before = Rel::registry_lookups();
     let report = engine.run_to_quiescence().unwrap();
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let registry_lookups = Rel::registry_lookups() - lookups_before;
 
     assert!(report.quiesced);
     assert_eq!(engine.result_count("shortestPath_hops"), 52 * 51);
@@ -94,6 +100,10 @@ fn converge_stays_within_the_allocation_budget() {
     let budget = MEASURED_PER_DERIVATION * BUDGET_FACTOR;
     println!(
         "{allocations} allocations for {derivations} derivations: {per_derivation:.2} per derivation (budget {budget:.2})"
+    );
+    assert_eq!(
+        registry_lookups, 0,
+        "the derivation path names relations by handle, never by string"
     );
     assert!(
         per_derivation <= budget,

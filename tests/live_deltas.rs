@@ -17,7 +17,7 @@
 //!    boundary (and after full teardown, exactly nothing).
 
 use ndlog::lang::{programs, Value};
-use ndlog::runtime::{DeltaTap, Evaluator, Sign, Strategy, Tuple, TupleDelta};
+use ndlog::runtime::{DeltaTap, Evaluator, Rel, Sign, Strategy, Tuple, TupleDelta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -81,9 +81,9 @@ fn burst(rng: &mut StdRng, base: &mut BTreeMap<(u32, u32), f64>) -> Vec<(bool, u
 
 /// Fold a drained stream into the subscriber's visible-set replica,
 /// enforcing strict per-tuple alternation.
-fn replay_into(replica: &mut BTreeSet<(String, Tuple)>, events: Vec<TupleDelta>, context: &str) {
+fn replay_into(replica: &mut BTreeSet<(Rel, Tuple)>, events: Vec<TupleDelta>, context: &str) {
     for event in events {
-        let key = (event.relation.clone(), event.tuple.clone());
+        let key = (event.relation, event.tuple.clone());
         match event.sign {
             Sign::Insert => assert!(
                 replica.insert(key),
@@ -99,10 +99,11 @@ fn replay_into(replica: &mut BTreeSet<(String, Tuple)>, events: Vec<TupleDelta>,
 
 /// The engine's current contents of one watched relation, keyed like the
 /// replica.
-fn visible(eval: &Evaluator, relation: &str) -> BTreeSet<(String, Tuple)> {
+fn visible(eval: &Evaluator, relation: &str) -> BTreeSet<(Rel, Tuple)> {
+    let rel = Rel::new(relation);
     eval.results(relation)
         .into_iter()
-        .map(|t| (relation.to_string(), t))
+        .map(|t| (rel, t))
         .collect()
 }
 
